@@ -15,7 +15,8 @@ import numpy as np
 from scipy import stats
 
 from .errors import DomainError
-from .hilbert import StateVector, sideband_populations
+from .hilbert import (StateVector, electron_populations, poisson_cutoff,
+                      sideband_leakage)
 from .physpar import ScenarioParams
 
 __all__ = [
@@ -37,10 +38,7 @@ def _poisson_weights(alpha: complex, tail_tol: float) -> tuple[np.ndarray, np.nd
     nbar = abs(alpha) ** 2
     if nbar == 0:
         return np.array([0]), np.array([1.0])
-    m_max = int(stats.poisson.isf(tail_tol, nbar)) + 1
-    while stats.poisson.sf(m_max, nbar) >= tail_tol:
-        m_max += 1
-    ms = np.arange(m_max + 1)
+    ms = np.arange(poisson_cutoff(nbar, tail_tol) + 1)
     return ms, stats.poisson.pmf(ms, nbar)
 
 
@@ -152,8 +150,5 @@ def classify_regime(params: ScenarioParams, alpha: complex,
 
 def leakage_fraction(state: StateVector) -> float:
     """Probability outside the +-1/2 pair, averaged over electrons."""
-    total = 0.0
-    for el in range(state.basis.num_electrons):
-        pops = sideband_populations(state, el)
-        total += 1.0 - pops.get(0.5, 0.0) - pops.get(-0.5, 0.0)
-    return max(total / state.basis.num_electrons, 0.0)
+    return max(float(sideband_leakage(electron_populations(state),
+                                      state.basis)), 0.0)

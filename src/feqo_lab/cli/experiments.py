@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Any
 
@@ -122,7 +123,8 @@ def export_density_matrix(state_or_rho, path, basis=None,
 
     Accepts a StateVector (reduced over the photon and projected onto the
     computational block) or an explicit qubit-block matrix.  Subsets of more
-    than 3 qubits are refused for full-matrix export.
+    than 3 qubits are refused for full-matrix export; the qubits outside
+    qubit_subset are traced out.
     """
     if isinstance(state_or_rho, StateVector):
         basis = state_or_rho.basis
@@ -135,22 +137,12 @@ def export_density_matrix(state_or_rho, path, basis=None,
                            else state_or_rho, dtype=np.complex128)
         n = int(round(math.log2(block.shape[0])))
     if qubit_subset is not None:
-        qubit_subset = tuple(qubit_subset)
-        if len(qubit_subset) > 3:
+        keep = tuple(qubit_subset)
+        if len(keep) > 3:
             raise DomainError("full-matrix export is limited to 3 qubits")
-        keep_bits = qubit_subset
-        dim = 2 ** len(keep_bits)
-        out = np.zeros((dim, dim), dtype=np.complex128)
-        traced = [q for q in range(n) if q not in keep_bits]
-        for i in range(2 ** n):
-            for j in range(2 ** n):
-                bi, bj = format(i, f"0{n}b"), format(j, f"0{n}b")
-                if any(bi[q] != bj[q] for q in traced):
-                    continue
-                ki = int("".join(bi[q] for q in keep_bits), 2)
-                kj = int("".join(bj[q] for q in keep_bits), 2)
-                out[ki, kj] += block[i, j]
-        block, n = out, len(keep_bits)
+        if len(set(keep)) != len(keep) or any(not 0 <= q < n for q in keep):
+            raise DomainError(f"invalid qubit subset {keep} of {n} qubits")
+        block, n = hilbert.reduce_operator(block, (2,) * n, keep), len(keep)
     elif n > 3:
         raise DomainError("full-matrix export is limited to 3 qubits; pass a "
                           "qubit_subset")
@@ -216,6 +208,16 @@ def _electron_ket(cfg_initial: str, window) -> np.ndarray:
     return v
 
 
+def _with_jc_reference(basis, init_label: str, photon: np.ndarray
+                       ) -> tuple[StateVector, StateVector]:
+    """One electron in init_label times the photon factor, on basis and on
+    its bare +-1/2 reduction (the quantized ideal-JC reference)."""
+    basis_jc = hilbert.make_basis(1, hilbert.qubit_window(), basis.fock_cutoff)
+    return tuple(hilbert.tensor_product(
+        b, [_electron_ket(init_label, b.sideband_indices), photon])
+        for b in (basis, basis_jc))
+
+
 # ----------------------------------------------------------------------
 # individual experiments
 # ----------------------------------------------------------------------
@@ -268,11 +270,9 @@ def _resonant_gate_run(name: str, cfg: ScenarioConfig, out: Path,
     total = schedule.wall_time_fs
     prop = cfg.to_propagator(total)
 
-    window = basis.sideband_indices
     photon = hilbert.coherent_state(alpha, basis.fock_cutoff)
     init_label = cfg.get("gate.initial", "g")
-    psi0 = hilbert.tensor_product(
-        basis, [_electron_ket(init_label, window), photon])
+    psi0, psi0_jc = _with_jc_reference(basis, init_label, photon)
 
     # semiclassical 2x2 target in the (e, g) ordering
     q0 = np.array([1.0, 0.0] if init_label == "e" else [0.0, 1.0],
@@ -283,10 +283,6 @@ def _resonant_gate_run(name: str, cfg: ScenarioConfig, out: Path,
                            ideal_target=target, config=prop)
 
     # quantized ideal-JC reference on the bare qubit pair
-    basis_jc = hilbert.make_basis(1, hilbert.qubit_window(), basis.fock_cutoff)
-    psi0_jc = hilbert.tensor_product(
-        basis_jc, [_electron_ket(init_label, basis_jc.sideband_indices),
-                   photon])
     result_jc = gates.execute(schedule, psi0_jc, params,
                               model=ModelKind.JC_INTERACTION,
                               ideal_target=target, config=prop)
@@ -362,30 +358,36 @@ def _initial_thetas(cfg: ScenarioConfig) -> dict[int, float]:
     return thetas
 
 
-def _run_fig2b(cfg: ScenarioConfig, out: Path, fmt: str) -> ResultRecord:
-    params = cfg.to_scenario()
-    basis = cfg.to_basis()
-    cp = params.coupling
-    if cp.J_rad_per_fs is None:
-        raise ConfigError("fig2b needs a detuned drive")
-    schedule = gates.schedule_iswap(cp.delta_rad_per_fs, cp.g_rad_per_fs,
-                                    delta_signed=cp.delta_signed_rad_per_fs)
-    total = schedule.wall_time_fs
-    prop = cfg.to_propagator(total)
+def _dispersive_gate(cfg: ScenarioConfig, params, basis, angle: float):
+    """Partial iSWAP(angle) on the configured two-qubit register, scored
+    against the exact XY evolution of the same initial qubits.
 
+    Returns (schedule, propagator config, GateResult).
+    """
+    cp = params.coupling
+    schedule = gates.schedule_partial_iswap(
+        angle, cp.delta_rad_per_fs, cp.g_rad_per_fs,
+        delta_signed=cp.delta_signed_rad_per_fs)
+    prop = cfg.to_propagator(schedule.wall_time_fs)
     thetas = _initial_thetas(cfg)
     psi0 = _register_initial(basis, thetas)
     qfactors = [hilbert.qubit_factor(thetas.get(q, math.pi)) for q in range(2)]
-    ideal = _xy_ideal_states(params, qfactors, [((0, 1), math.pi / 2)])[-1]
-
+    ideal = _xy_ideal_states(params, qfactors, [((0, 1), angle)])[-1]
     result = gates.execute(schedule, psi0, params, ideal_target=ideal,
                            config=prop)
+    return schedule, prop, result
+
+
+def _run_fig2b(cfg: ScenarioConfig, out: Path, fmt: str) -> ResultRecord:
+    params = cfg.to_scenario()
+    basis = cfg.to_basis()
+    if params.coupling.J_rad_per_fs is None:
+        raise ConfigError("fig2b needs a detuned drive")
+    schedule, prop, result = _dispersive_gate(cfg, params, basis, math.pi / 2)
+    total = schedule.wall_time_fs
 
     # transfer-peak probe: |eg>, vacuum photon; population of qubit 2 on e
-    probe0 = hilbert.tensor_product(
-        basis, [_electron_ket("e", basis.sideband_indices),
-                _electron_ket("g", basis.sideband_indices),
-                hilbert.fock_ket(0, basis.fock_cutoff)])
+    probe0 = hilbert.basis_ket(basis, (hilbert.E_LABEL, hilbert.G_LABEL), 0)
     h_tc = hamiltonian.build_model(ModelKind.TC_LAB, params, basis)
     probe_prop = PropagatorConfig(
         method=prop.method, sample_every_fs=1.2 * total / 600,
@@ -438,10 +440,8 @@ def _run_fig3(cfg: ScenarioConfig, out: Path, fmt: str) -> ResultRecord:
                 for q in range(n_q)]
     ideal_states = _xy_ideal_states(params, qfactors, plan)
 
-    factors = [_electron_ket("e" if q == 0 else "g", basis.sideband_indices)
-               for q in range(n_q)]
-    factors.append(hilbert.fock_ket(0, basis.fock_cutoff))
-    psi0 = hilbert.tensor_product(basis, factors)
+    psi0 = hilbert.basis_ket(
+        basis, (hilbert.E_LABEL,) + (hilbert.G_LABEL,) * (n_q - 1), 0)
 
     metrics: dict[str, Any] = {"convention": convention}
     durations = [seg.duration_fs for seg in segs]
@@ -452,6 +452,8 @@ def _run_fig3(cfg: ScenarioConfig, out: Path, fmt: str) -> ResultRecord:
     record = ResultRecord("fig3", dict(cfg.values), _derived_dict(params),
                           metrics)
     prop = cfg.to_propagator(sum(durations))
+    # full matrices up to 3 qubits; above, the pair each gate acts on
+    wide = n_q > 3
     final_result = None
     for k in range(1, len(segs) + 1):
         sched_k = gates.GateSchedule(segments=tuple(segs[:k]))
@@ -460,7 +462,8 @@ def _run_fig3(cfg: ScenarioConfig, out: Path, fmt: str) -> ResultRecord:
         metrics[f"fidelity_step{k}"] = res.fidelity
         rho_path = out / f"fig3_rho_step{k}.json"
         record.files.append(export_density_matrix(
-            res.reduced_qubits, rho_path))
+            res.reduced_qubits, rho_path,
+            qubit_subset=plan[k - 1][0] if wide else None))
         final_result = res
 
     # readout frame correction on qubit 2 clears the geg-vs-egg phase
@@ -476,7 +479,8 @@ def _run_fig3(cfg: ScenarioConfig, out: Path, fmt: str) -> ResultRecord:
     metrics["virtual_rz_on_qubit2_rad"] = math.pi / 2
     metrics["leakage_final"] = final_result.leakage
     record.files.append(export_density_matrix(
-        hilbert.DensityOperator(rho_c), out / "fig3_rho_corrected.json"))
+        hilbert.DensityOperator(rho_c), out / "fig3_rho_corrected.json",
+        qubit_subset=(0, 1) if wide else None))
 
     if fmt in ("csv", "both") and final_result.trajectories:
         for j, traj in enumerate(final_result.trajectories, start=1):
@@ -504,15 +508,11 @@ def _run_collapse_revival(name: str, cfg: ScenarioConfig, out: Path,
     init_label = cfg.get("gate.initial", "e")
 
     photon = hilbert.coherent_state(alpha, basis.fock_cutoff)
-    psi0 = hilbert.tensor_product(
-        basis, [_electron_ket(init_label, basis.sideband_indices), photon])
+    psi0, psi0_jc = _with_jc_reference(basis, init_label, photon)
     h_full = hamiltonian.build_model(ModelKind.PINEM_FULL, params, basis)
     traj = propagate_state(h_full, psi0, total, prop)
 
-    basis_jc = hilbert.make_basis(1, hilbert.qubit_window(), basis.fock_cutoff)
-    psi0_jc = hilbert.tensor_product(
-        basis_jc, [_electron_ket(init_label, basis_jc.sideband_indices),
-                   photon])
+    basis_jc = psi0_jc.basis
     h_jc = hamiltonian.build_model(ModelKind.JC_INTERACTION, params, basis_jc)
     traj_jc = propagate_state(h_jc, psi0_jc, total, prop)
 
@@ -559,30 +559,29 @@ def _run_collapse_revival(name: str, cfg: ScenarioConfig, out: Path,
     return record
 
 
+def _merged_config(preset: dict[str, Any], fixed: dict[str, Any],
+                   overrides: dict[str, Any] | None, config_text: str | None,
+                   sets: list[str] | None) -> ScenarioConfig:
+    """Preset, then the entry point's fixed keys, then caller overrides,
+    then the config file text and --set pairs."""
+    return ScenarioConfig.from_sources(
+        preset={**preset, **fixed, **(overrides or {})},
+        file_text=config_text, sets=sets)
+
+
 def run_wstate(n_qubits: int, mode: str, overrides: dict[str, Any] | None = None,
                out_dir=".", fmt: str = "both", sets: list[str] | None = None,
                config_text: str | None = None) -> ResultRecord:
     """Analog (resonant TC) or digital (partial-iSWAP) W-state preparation."""
     out = Path(out_dir)
-    if mode == "digital":
-        preset = dict(PRESETS["fig3"])
-        preset["wstate.n"] = n_qubits
-        preset["basis.num_electrons"] = n_qubits
-        if overrides:
-            preset.update(overrides)
-        cfg = ScenarioConfig.from_sources(preset=preset, file_text=config_text,
-                                          sets=sets)
-        return _run_fig3(cfg, out, fmt)
-
-    if mode != "analog":
+    if mode not in ("digital", "analog"):
         raise ConfigError(f"wstate mode must be digital or analog, not {mode!r}")
-    preset = dict(WSTATE_ANALOG_BASE)
-    preset["wstate.n"] = n_qubits
-    preset["basis.num_electrons"] = n_qubits
-    if overrides:
-        preset.update(overrides)
-    cfg = ScenarioConfig.from_sources(preset=preset, file_text=config_text,
-                                      sets=sets)
+    cfg = _merged_config(
+        PRESETS["fig3"] if mode == "digital" else WSTATE_ANALOG_BASE,
+        {"wstate.n": n_qubits, "basis.num_electrons": n_qubits},
+        overrides, config_text, sets)
+    if mode == "digital":
+        return _run_fig3(cfg, out, fmt)
     params = cfg.to_scenario()
     basis = cfg.to_basis()
     g = params.coupling.g_rad_per_fs
@@ -590,16 +589,11 @@ def run_wstate(n_qubits: int, mode: str, overrides: dict[str, Any] | None = None
     total = schedule.wall_time_fs
     prop = cfg.to_propagator(total)
 
-    factors = [_electron_ket("g", basis.sideband_indices)
-               for _ in range(n_qubits)]
-    factors.append(hilbert.fock_ket(1, basis.fock_cutoff))
-    psi0 = hilbert.tensor_product(basis, factors)
+    psi0 = hilbert.basis_ket(basis, (hilbert.G_LABEL,) * n_qubits, 1)
 
-    w_target = np.zeros(2 ** n_qubits, dtype=np.complex128)
-    labels = hilbert.computational_labels(n_qubits)
-    for i, lab in enumerate(labels):
-        if lab.count("e") == 1:
-            w_target[i] = 1.0 / math.sqrt(n_qubits)
+    w_target = np.array([lab.count("e") == 1 for lab in
+                         hilbert.computational_labels(n_qubits)]) \
+        / math.sqrt(n_qubits)
 
     result = gates.execute(schedule, psi0, params, ideal_target=w_target,
                            config=prop)
@@ -630,25 +624,18 @@ def run_gate(gate_type: str, theta: float | None = None,
              config_text: str | None = None) -> ResultRecord:
     """Run a single named gate on the matching preset scenario."""
     out = Path(out_dir)
+    fixed: dict[str, Any] = {"gate.type": gate_type}
     if gate_type in ("rx", "ry", "rz"):
-        preset = dict(PRESETS["fig2a"])
-        preset["gate.type"] = gate_type
         if theta is not None:
-            preset["gate.theta_rad"] = theta
-        if overrides:
-            preset.update(overrides)
-        cfg = ScenarioConfig.from_sources(preset=preset, file_text=config_text,
-                                          sets=sets)
+            fixed["gate.theta_rad"] = theta
+        cfg = _merged_config(PRESETS["fig2a"], fixed, overrides, config_text,
+                             sets)
         record = _resonant_gate_run(f"gate_{gate_type}", cfg, out, fmt)
     elif gate_type in ("iswap", "partial_iswap"):
-        preset = dict(PRESETS["fig2b"])
-        preset["gate.type"] = gate_type
         if gate_type == "partial_iswap":
-            preset["gate.theta_rad"] = theta if theta is not None else math.pi / 4
-        if overrides:
-            preset.update(overrides)
-        cfg = ScenarioConfig.from_sources(preset=preset, file_text=config_text,
-                                          sets=sets)
+            fixed["gate.theta_rad"] = theta if theta is not None else math.pi / 4
+        cfg = _merged_config(PRESETS["fig2b"], fixed, overrides, config_text,
+                             sets)
         record = _run_fig2b_like_gate(cfg, gate_type, out, fmt)
     else:
         raise ConfigError(f"unknown gate type {gate_type!r}")
@@ -659,25 +646,10 @@ def run_gate(gate_type: str, theta: float | None = None,
 
 def _run_fig2b_like_gate(cfg: ScenarioConfig, gate_type: str, out: Path,
                          fmt: str) -> ResultRecord:
+    angle = math.pi / 2 if gate_type == "iswap" \
+        else cfg.get("gate.theta_rad", math.pi / 4)
     params = cfg.to_scenario()
-    basis = cfg.to_basis()
-    cp = params.coupling
-    if gate_type == "iswap":
-        schedule = gates.schedule_iswap(cp.delta_rad_per_fs, cp.g_rad_per_fs,
-                                        delta_signed=cp.delta_signed_rad_per_fs)
-        angle = math.pi / 2
-    else:
-        angle = cfg.get("gate.theta_rad", math.pi / 4)
-        schedule = gates.schedule_partial_iswap(
-            angle, cp.delta_rad_per_fs, cp.g_rad_per_fs,
-            delta_signed=cp.delta_signed_rad_per_fs)
-    prop = cfg.to_propagator(schedule.wall_time_fs)
-    thetas = _initial_thetas(cfg)
-    psi0 = _register_initial(basis, thetas)
-    qfactors = [hilbert.qubit_factor(thetas.get(q, math.pi)) for q in range(2)]
-    ideal = _xy_ideal_states(params, qfactors, [((0, 1), angle)])[-1]
-    result = gates.execute(schedule, psi0, params, ideal_target=ideal,
-                           config=prop)
+    schedule, _, result = _dispersive_gate(cfg, params, cfg.to_basis(), angle)
     metrics = {
         "duration_fs": schedule.wall_time_fs,
         "rotation_angle_rad": angle,
@@ -696,15 +668,12 @@ def _run_fig2b_like_gate(cfg: ScenarioConfig, gate_type: str, out: Path,
 _RUNNERS = {
     "params_only": _run_params_only,
     "smith_purcell": _run_smith_purcell,
-    "fig2a": lambda cfg, out, fmt: _resonant_gate_run("fig2a", cfg, out, fmt),
-    "fig2a_strong": lambda cfg, out, fmt: _resonant_gate_run("fig2a_strong",
-                                                             cfg, out, fmt),
+    "fig2a": partial(_resonant_gate_run, "fig2a"),
+    "fig2a_strong": partial(_resonant_gate_run, "fig2a_strong"),
     "fig2b": _run_fig2b,
     "fig3": _run_fig3,
-    "s1_bragg": lambda cfg, out, fmt: _run_collapse_revival("s1_bragg", cfg,
-                                                            out, fmt),
-    "s2_ramannath": lambda cfg, out, fmt: _run_collapse_revival("s2_ramannath",
-                                                                cfg, out, fmt),
+    "s1_bragg": partial(_run_collapse_revival, "s1_bragg"),
+    "s2_ramannath": partial(_run_collapse_revival, "s2_ramannath"),
 }
 
 
@@ -718,11 +687,7 @@ def run_experiment(name: str, overrides: dict[str, Any] | None = None,
                           f"{', '.join(sorted(_RUNNERS))}")
     if fmt not in ("csv", "json", "both"):
         raise ConfigError(f"format must be csv, json, or both, not {fmt!r}")
-    preset = dict(PRESETS[name])
-    if overrides:
-        preset.update(overrides)
-    cfg = ScenarioConfig.from_sources(preset=preset, file_text=config_text,
-                                      sets=sets)
+    cfg = _merged_config(PRESETS[name], {}, overrides, config_text, sets)
     out = Path(out_dir)
     record = _RUNNERS[name](cfg, out, fmt)
     record.files.append(_write_json(out / f"{name}_summary.json",

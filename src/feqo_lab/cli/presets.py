@@ -142,5 +142,3 @@ WSTATE_ANALOG_BASE = {
     "basis.fock_cutoff": "3",
     "propagator.method": "eigen",
 }
-
-EXPERIMENTS = tuple(PRESETS)

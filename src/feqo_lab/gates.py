@@ -24,10 +24,10 @@ import numpy as np
 from .errors import BasisError, DomainError
 from .hamiltonian import ModelKind, build_model
 from .hilbert import (DensityOperator, StateVector, computational_block,
-                      computational_labels, partial_trace,
-                      sideband_populations, uhlmann_fidelity,
+                      computational_labels, electron_populations,
+                      partial_trace, sideband_leakage, uhlmann_fidelity,
                       von_neumann_entropy)
-from .physpar import CODATA2018, ScenarioParams
+from .physpar import _HBAR, ScenarioParams
 from .propagate import PropagatorConfig, Trajectory, propagate
 
 __all__ = [
@@ -46,8 +46,6 @@ __all__ = [
     "execute",
     "DispersiveRegimeWarning",
 ]
-
-_HBAR = CODATA2018.hbar_eV_fs
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
@@ -115,6 +113,9 @@ class GateResult:
 
 def _rot_segment(angle: float, base_phase: float, g: float, alpha: complex,
                  model: ModelKind) -> ScheduleSegment:
+    if angle == 0:
+        return ScheduleSegment(model_kind=model, duration_fs=0.0,
+                               drive_phase_rad=base_phase, coherent_alpha=alpha)
     if g <= 0 or abs(alpha) == 0:
         raise DomainError("rotation segments need g > 0 and |alpha| > 0")
     duration = abs(angle) / (2.0 * g * abs(alpha))
@@ -127,19 +128,12 @@ def _rot_segment(angle: float, base_phase: float, g: float, alpha: complex,
 def schedule_rx(theta: float, g: float, alpha: complex,
                 model: ModelKind = ModelKind.PINEM_FULL) -> GateSchedule:
     """Resonant X rotation: one segment of duration theta / (2 g |alpha|)."""
-    if theta == 0:
-        return GateSchedule(segments=(ScheduleSegment(
-            model_kind=model, duration_fs=0.0, coherent_alpha=alpha),))
     return GateSchedule(segments=(_rot_segment(theta, 0.0, g, alpha, model),))
 
 
 def schedule_ry(theta: float, g: float, alpha: complex,
                 model: ModelKind = ModelKind.PINEM_FULL) -> GateSchedule:
     """Same duration as Rx; the light field carries an extra pi/2 phase."""
-    if theta == 0:
-        return GateSchedule(segments=(ScheduleSegment(
-            model_kind=model, duration_fs=0.0, drive_phase_rad=math.pi / 2,
-            coherent_alpha=alpha),))
     return GateSchedule(segments=(_rot_segment(theta, math.pi / 2, g, alpha,
                                                model),))
 
@@ -153,17 +147,26 @@ def schedule_rz_composite(theta: float, g: float, alpha: complex,
     one pi pulse.
     """
     segs = (_rot_segment(-math.pi / 2, 0.0, g, alpha, model),
-            _rot_segment(-theta, math.pi / 2, g, alpha, model) if theta != 0
-            else ScheduleSegment(model_kind=model, duration_fs=0.0,
-                                 drive_phase_rad=math.pi / 2,
-                                 coherent_alpha=alpha),
+            _rot_segment(-theta, math.pi / 2, g, alpha, model),
             _rot_segment(math.pi / 2, 0.0, g, alpha, model))
     return GateSchedule(segments=segs)
 
 
-def _iswap_segment(rotation_angle: float, delta: float, g: float,
-                   delta_signed: float | None, dispersive_bound: float,
-                   active: tuple[int, int]) -> tuple[ScheduleSegment, list[str]]:
+def schedule_iswap(delta: float, g: float, *, delta_signed: float | None = None,
+                   dispersive_bound: float = 0.1,
+                   active: tuple[int, int] = (0, 1)) -> GateSchedule:
+    """Full iSWAP: one detuned TC segment of duration pi*Delta/(2 g^2)."""
+    return schedule_partial_iswap(math.pi / 2.0, delta, g,
+                                  delta_signed=delta_signed,
+                                  dispersive_bound=dispersive_bound,
+                                  active=active)
+
+
+def schedule_partial_iswap(rotation_angle: float, delta: float, g: float, *,
+                           delta_signed: float | None = None,
+                           dispersive_bound: float = 0.1,
+                           active: tuple[int, int] = (0, 1)) -> GateSchedule:
+    """Partial iSWAP(theta): XY rotation angle J*t = theta, duration theta/J."""
     if delta <= 0:
         raise DomainError("dispersive scheduling needs Delta > 0")
     if g <= 0:
@@ -181,7 +184,7 @@ def _iswap_segment(rotation_angle: float, delta: float, g: float,
     if ratio > dispersive_bound:
         msg = (f"|g/Delta| = {ratio:.4f} exceeds the dispersive-validity "
                f"bound {dispersive_bound}; proceeding anyway")
-        warnings.warn(msg, DispersiveRegimeWarning, stacklevel=3)
+        warnings.warn(msg, DispersiveRegimeWarning, stacklevel=2)
         notes.append(msg)
     # Lamb-shift frame correction, applied at the segment boundary
     vz = {q: -J_signed * duration / 2.0 for q in active}
@@ -189,25 +192,6 @@ def _iswap_segment(rotation_angle: float, delta: float, g: float,
                           coherent_alpha=0j, active_electrons=tuple(active),
                           rotation_angle_rad=rotation_angle,
                           virtual_z_after=vz)
-    return seg, notes
-
-
-def schedule_iswap(delta: float, g: float, *, delta_signed: float | None = None,
-                   dispersive_bound: float = 0.1,
-                   active: tuple[int, int] = (0, 1)) -> GateSchedule:
-    """Full iSWAP: one detuned TC segment of duration pi*Delta/(2 g^2)."""
-    seg, notes = _iswap_segment(math.pi / 2.0, delta, g, delta_signed,
-                                dispersive_bound, active)
-    return GateSchedule(segments=(seg,), warnings=tuple(notes))
-
-
-def schedule_partial_iswap(rotation_angle: float, delta: float, g: float, *,
-                           delta_signed: float | None = None,
-                           dispersive_bound: float = 0.1,
-                           active: tuple[int, int] = (0, 1)) -> GateSchedule:
-    """Partial iSWAP(theta): XY rotation angle J*t = theta, duration theta/J."""
-    seg, notes = _iswap_segment(rotation_angle, delta, g, delta_signed,
-                                dispersive_bound, active)
     return GateSchedule(segments=(seg,), warnings=tuple(notes))
 
 
@@ -258,16 +242,9 @@ def apply_virtual_z(state: StateVector, phis: dict[int, float]) -> StateVector:
     for q in phis:
         if not 0 <= q < basis.num_electrons:
             raise BasisError(f"no electron {q} in basis")
-    shape = basis.shape
-    phase = np.ones(shape, dtype=np.complex128)
-    for q, phi in phis.items():
-        if phi == 0.0:
-            continue
-        axis_phase = np.exp(-2.0j * np.asarray(basis.sideband_indices) * phi)
-        idx = [None] * (basis.num_electrons + 1)
-        idx[q] = slice(None)
-        phase = phase * axis_phase[tuple(idx)]
-    return StateVector(basis, (state.tensor() * phase).ravel())
+    labels = basis.index_grids()[1]
+    angle = np.ravel(sum(phi * labels[q] for q, phi in phis.items()))
+    return StateVector(basis, state.amplitudes * np.exp(-2.0j * angle))
 
 
 def semiclassical_unitary(schedule: GateSchedule) -> np.ndarray:
@@ -288,12 +265,6 @@ def semiclassical_unitary(schedule: GateSchedule) -> np.ndarray:
         for phi_z in seg.virtual_z_after.values():
             u = np.diag([np.exp(-1j * phi_z), np.exp(1j * phi_z)]) @ u
     return u
-
-
-def _photon_phase(state: np.ndarray, basis, dphi: float) -> np.ndarray:
-    """Rotate the photon frame: |alpha> -> |alpha e^{i dphi}>."""
-    m_phase = np.exp(1j * dphi * np.arange(basis.photon_dim))
-    return (state.reshape(-1, basis.photon_dim) * m_phase).ravel()
 
 
 def execute(schedule: GateSchedule, initial_state: StateVector,
@@ -321,7 +292,8 @@ def execute(schedule: GateSchedule, initial_state: StateVector,
     for seg in schedule.segments:
         dphi = seg.drive_phase_rad - applied_phase
         if dphi != 0.0:
-            amps = _photon_phase(amps, basis, dphi)
+            # rotate the photon frame: |alpha> -> |alpha e^{i dphi}>
+            amps = amps * np.exp(1j * dphi * basis.index_grids()[2].ravel())
             applied_phase = seg.drive_phase_rad
         if seg.duration_fs > 0:
             kind = model if model is not None else seg.model_kind
@@ -350,11 +322,7 @@ def execute(schedule: GateSchedule, initial_state: StateVector,
     block = computational_block(rho_e, basis)
     reduced = DensityOperator(block, labels=computational_labels(
         basis.num_electrons), subsystem="qubits")
-    # leakage: per-electron weight outside +-1/2, averaged over electrons
-    leak = float(np.mean([
-        1.0 - sum(p for n, p in sideband_populations(final, el).items()
-                  if n in (-0.5, 0.5))
-        for el in range(basis.num_electrons)]))
+    leak = float(sideband_leakage(electron_populations(final), basis))
     fidelity = None
     if ideal_target is not None:
         target = (ideal_target.matrix if isinstance(ideal_target, DensityOperator)

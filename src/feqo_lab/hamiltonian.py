@@ -10,15 +10,15 @@ stored, the mirror is generated.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 from scipy import sparse
 
 from .errors import BasisError, DomainError
 from .hilbert import BasisSpec, E_LABEL, G_LABEL, StateVector, qubit_window
-from .physpar import CODATA2018, ScenarioParams
+from .physpar import _HBAR, ScenarioParams
 
 __all__ = [
     "ModelKind",
@@ -110,47 +110,41 @@ class HermitianOperator:
         return float(np.min(self.diag - radius)), float(np.max(self.diag + radius))
 
 
-class _Builder:
-    """Accumulates diagonal entries and strictly-upper couplings."""
+def _operator(basis: BasisSpec, diag: np.ndarray,
+              couplings: Sequence[tuple] = ()) -> HermitianOperator:
+    """HermitianOperator from a diagonal grid and (i, j, value) grids.
 
-    def __init__(self, basis: BasisSpec):
-        self.basis = basis
-        self.diag = np.zeros(basis.dimension)
-        self.rows: list[int] = []
-        self.cols: list[int] = []
-        self.vals: list[float] = []
-
-    def add_coupling(self, i: int, j: int, value: float):
-        if i == j:
-            raise BasisError("coupling must be off-diagonal")
-        r, c = (i, j) if i < j else (j, i)
-        self.rows.append(r)
-        self.cols.append(c)
-        self.vals.append(value)
-
-    def finish(self) -> HermitianOperator:
-        n = self.basis.dimension
-        upper = sparse.csr_matrix(
-            (np.asarray(self.vals, dtype=np.complex128), (self.rows, self.cols)),
-            shape=(n, n))
-        upper.sum_duplicates()
-        return HermitianOperator(self.basis, self.diag, upper)
+    Each coupling joins flat indices i and j (i != j) with the given value;
+    it is stored once, in the strictly upper triangle.
+    """
+    n = basis.dimension
+    i, j, v = (np.concatenate([np.ravel(c[k]) for c in couplings]
+                              + [np.zeros(0)]) for k in range(3))
+    i, j = i.astype(np.intp), j.astype(np.intp)
+    upper = sparse.csr_matrix(
+        (v.astype(np.complex128), (np.minimum(i, j), np.maximum(i, j))),
+        shape=(n, n))
+    upper.sum_duplicates()
+    return HermitianOperator(basis, np.ravel(diag), upper)
 
 
-def _electron_block_iter(basis: BasisSpec, electron: int):
-    """Yield (prefix, suffix) composite indices around one electron axis."""
-    s = basis.sideband_count
-    n = basis.num_electrons
-    pre_dim = s ** electron
-    post_dim = s ** (n - 1 - electron)
-    for a in range(pre_dim):
-        for b in range(post_dim):
-            yield a, b, post_dim
+def _ladder(basis: BasisSpec, electrons, rate_eV: float,
+            kn_slope: float | None = None) -> list[tuple]:
+    """rate*sqrt(m+1) couplings (n, m) <-> (n-1, m+1) of the given electrons.
 
-
-def _flat(basis: BasisSpec, a: int, pos: int, b: int, post_dim: int, m: int) -> int:
-    s = basis.sideband_count
-    return ((a * s + pos) * post_dim + b) * basis.photon_dim + m
+    With kn_slope each element is scaled by 1 + (n-1)*kn_slope.
+    """
+    flat, labels, photon = basis.index_grids()
+    out = []
+    for el in electrons:
+        # electron axis first: [1:, ..., :-1] holds (n, m),
+        # [:-1, ..., 1:] the partner (n-1, m+1)
+        f, lab, m = (np.moveaxis(x, el, 0) for x in (flat, labels[el], photon))
+        value = rate_eV * np.sqrt(m[1:, ..., :-1] + 1)
+        if kn_slope is not None:
+            value = value * (1.0 + lab[:-1, ..., 1:] * kn_slope)
+        out.append((f[1:, ..., :-1], f[:-1, ..., 1:], value))
+    return out
 
 
 def build_pinem(params: ScenarioParams, basis: BasisSpec) -> HermitianOperator:
@@ -170,25 +164,12 @@ def build_pinem(params: ScenarioParams, basis: BasisSpec) -> HermitianOperator:
     g = params.coupling.g_rad_per_fs
     q_over_k0 = params.drive.q_per_m / params.electron.k0_per_m
 
-    b = _Builder(basis)
-    window = basis.sideband_indices
-    site = np.array([hbar * (n * wq + n * n * w_rec) for n in window])
-    # diagonal: sum of per-electron on-site energies + photon ladder
-    for full in range(basis.dimension):
-        labels, m = basis.decode(full)
-        b.diag[full] = sum(site[window.index(n)] for n in labels) + hbar * wl * m
-    # ladder: (n-1, m+1) <-> (n, m) per electron
-    for el in range(basis.num_electrons):
-        for a, c, post in _electron_block_iter(basis, el):
-            for pos in range(1, basis.sideband_count):
-                scale = 1.0
-                if params.exact_kn:
-                    scale = 1.0 + window[pos - 1] * q_over_k0
-                for m in range(basis.photon_dim - 1):
-                    i = _flat(basis, a, pos, c, post, m)
-                    j = _flat(basis, a, pos - 1, c, post, m + 1)
-                    b.add_coupling(i, j, hbar * g * np.sqrt(m + 1) * scale)
-    return b.finish()
+    _, labels, photon = basis.index_grids()
+    site = hbar * (labels * wq + labels * labels * w_rec)
+    diag = site.sum(axis=0) + hbar * wl * photon
+    return _operator(basis, diag, _ladder(
+        basis, range(basis.num_electrons), hbar * g,
+        q_over_k0 if params.exact_kn else None))
 
 
 def _require_qubit_window(basis: BasisSpec):
@@ -221,34 +202,17 @@ def build_tc(params: ScenarioParams, basis: BasisSpec,
     if any(not 0 <= el < basis.num_electrons for el in active):
         raise BasisError(f"active electrons {active} outside basis")
 
-    b = _Builder(basis)
-    for full in range(basis.dimension):
-        labels, m = basis.decode(full)
-        sz = sum(1.0 if n == E_LABEL else -1.0 for n in labels)
-        b.diag[full] = hbar * (wq * sz / 2.0 + wl * m)
-    pos_g = basis.sideband_position(G_LABEL)
-    for el in active:
-        for a, c, post in _electron_block_iter(basis, el):
-            for m in range(basis.photon_dim - 1):
-                i = _flat(basis, a, pos_g + 1, c, post, m)     # |e, m>
-                j = _flat(basis, a, pos_g, c, post, m + 1)     # |g, m+1>
-                b.add_coupling(i, j, hbar * g * np.sqrt(m + 1))
-    return b.finish()
+    _, labels, photon = basis.index_grids()
+    sz = (2.0 * labels).sum(axis=0)
+    diag = hbar * (wq * sz / 2.0 + wl * photon)
+    return _operator(basis, diag, _ladder(basis, active, hbar * g))
 
 
 def build_jc_interaction(g_rad_per_fs: float, basis: BasisSpec) -> HermitianOperator:
     """Interaction-picture JC at resonance: hbar g (s+ a + s- a^dag) only."""
     _require_qubit_window(basis)
-    hbar = _hbar()
-    b = _Builder(basis)
-    pos_g = basis.sideband_position(G_LABEL)
-    for el in range(basis.num_electrons):
-        for a, c, post in _electron_block_iter(basis, el):
-            for m in range(basis.photon_dim - 1):
-                i = _flat(basis, a, pos_g + 1, c, post, m)
-                j = _flat(basis, a, pos_g, c, post, m + 1)
-                b.add_coupling(i, j, hbar * g_rad_per_fs * np.sqrt(m + 1))
-    return b.finish()
+    return _operator(basis, np.zeros(basis.dimension), _ladder(
+        basis, range(basis.num_electrons), _HBAR * g_rad_per_fs))
 
 
 def build_dispersive_xy(J_rad_per_fs: float, basis: BasisSpec,
@@ -262,39 +226,18 @@ def build_dispersive_xy(J_rad_per_fs: float, basis: BasisSpec,
     i_el, j_el = pair
     if i_el == j_el or any(not 0 <= e < basis.num_electrons for e in pair):
         raise BasisError(f"invalid qubit pair {pair}")
-    hbar = _hbar()
-    b = _Builder(basis)
-    s = basis.sideband_count
-    n = basis.num_electrons
     pos_e = basis.sideband_position(E_LABEL)
     pos_g = basis.sideband_position(G_LABEL)
-    for labels in itertools.product(range(s), repeat=n):
-        if labels[i_el] == pos_e and labels[j_el] == pos_g:
-            swapped = list(labels)
-            swapped[i_el], swapped[j_el] = pos_g, pos_e
-            fa = 0
-            fb = 0
-            for x, y in zip(labels, swapped):
-                fa = fa * s + x
-                fb = fb * s + y
-            for m in range(basis.photon_dim):
-                b.add_coupling(fa * basis.photon_dim + m,
-                               fb * basis.photon_dim + m,
-                               hbar * J_rad_per_fs)
-    return b.finish()
-
-
-def _hbar() -> float:
-    return CODATA2018.hbar_eV_fs
+    flat = np.moveaxis(basis.index_grids()[0], (i_el, j_el), (0, 1))
+    eg, ge = flat[pos_e, pos_g], flat[pos_g, pos_e]
+    return _operator(basis, np.zeros(basis.dimension),
+                     [(eg, ge, np.full(eg.shape, _HBAR * J_rad_per_fs))])
 
 
 def excitation_observable(basis: BasisSpec) -> HermitianOperator:
     """N_tot = sum_e sum_n n c^dag_n c_n + a^dag a (diagonal, dimensionless)."""
-    b = _Builder(basis)
-    for full in range(basis.dimension):
-        labels, m = basis.decode(full)
-        b.diag[full] = sum(labels) + m
-    return b.finish()
+    _, labels, photon = basis.index_grids()
+    return _operator(basis, labels.sum(axis=0) + photon)
 
 
 def build_model(kind: ModelKind, params: ScenarioParams, basis: BasisSpec,

@@ -2,6 +2,8 @@
 
 Index convention: the flat index runs electron-major with the photon index
 varying fastest, flat = ((n1_idx*S + n2_idx)*S + ...)*(N_max+1) + m.
+BasisSpec.index_grids is the one place that layout is spelled out; the
+Hamiltonian builders and the qubit-block extractors read it from there.
 Sideband windows are stored in increasing order, so the computational pair
 appears as (-1/2, +1/2); computational-block extraction reorders to the
 (e, g) = (+1/2, -1/2) gate convention.
@@ -9,6 +11,7 @@ appears as (-1/2, +1/2); computational-block extraction reorders to the
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -26,16 +29,20 @@ __all__ = [
     "qubit_window",
     "default_window",
     "default_fock_cutoff",
+    "poisson_cutoff",
     "coherent_state",
     "qubit_factor",
     "basis_ket",
     "fock_ket",
     "tensor_product",
     "partial_trace",
+    "reduce_operator",
     "computational_block",
     "computational_labels",
     "computational_state_vector",
+    "electron_populations",
     "sideband_populations",
+    "sideband_leakage",
     "photon_populations",
     "photon_number_mean",
     "uhlmann_fidelity",
@@ -128,6 +135,17 @@ class BasisSpec:
             labels.append(self.sideband_indices[pos])
         return tuple(reversed(labels)), m
 
+    def index_grids(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(flat, labels, photon) grids on self.shape.
+
+        flat holds each state's flat index, labels[e] the sideband label of
+        electron e (shape (num_electrons, *self.shape)), photon its Fock
+        number.  Builders and block extractors read the layout from here.
+        """
+        pos = np.indices(self.shape)
+        labels = np.asarray(self.sideband_indices)[pos[:-1]]
+        return np.arange(self.dimension).reshape(self.shape), labels, pos[-1]
+
 
 def make_basis(num_electrons: int, sideband_window: Iterable[float],
                fock_cutoff: int) -> BasisSpec:
@@ -135,6 +153,14 @@ def make_basis(num_electrons: int, sideband_window: Iterable[float],
     return BasisSpec(num_electrons=num_electrons,
                      sideband_indices=tuple(sorted(sideband_window)),
                      fock_cutoff=int(fock_cutoff))
+
+
+def poisson_cutoff(nbar: float, tail_tol: float) -> int:
+    """Smallest cutoff m with Poisson(nbar) tail mass P(n > m) < tail_tol."""
+    needed = int(stats.poisson.isf(tail_tol, nbar)) + 1
+    while stats.poisson.sf(needed, nbar) >= tail_tol:
+        needed += 1
+    return needed
 
 
 def default_fock_cutoff(alpha: complex) -> int:
@@ -162,7 +188,7 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes))
 
     def require_normalized(self, tol: float = 1e-9) -> "StateVector":
-        if abs(self.norm - 1.0) > tol:
+        if not abs(self.norm - 1.0) <= tol:
             raise DomainError(f"state norm {self.norm} deviates from 1 "
                               f"beyond {tol}")
         return self
@@ -188,9 +214,10 @@ class DensityOperator:
     def validate(self, trace_tol: float = 1e-9, herm_tol: float = 1e-10,
                  psd_tol: float = 1e-10) -> "DensityOperator":
         m = self.matrix
-        if abs(np.trace(m).real - 1.0) > trace_tol or abs(np.trace(m).imag) > trace_tol:
-            raise DomainError(f"trace {np.trace(m)} deviates from 1")
-        if np.max(np.abs(m - m.conj().T)) > herm_tol:
+        tr = np.trace(m)
+        if not (abs(tr.real - 1.0) <= trace_tol and abs(tr.imag) <= trace_tol):
+            raise DomainError(f"trace {tr} deviates from 1")
+        if not np.max(np.abs(m - m.conj().T)) <= herm_tol:
             raise DomainError("matrix is not Hermitian within tolerance")
         if np.linalg.eigvalsh(m).min() < -psd_tol:
             raise DomainError("matrix has negative eigenvalues beyond tolerance")
@@ -201,26 +228,24 @@ def coherent_state(alpha: complex, fock_cutoff: int,
                    tail_tol: float = 1e-8) -> np.ndarray:
     """Photon-factor amplitudes of |alpha> truncated at fock_cutoff.
 
-    Amplitudes follow the recursion a_{m+1} = a_m * alpha / sqrt(m+1) and are
-    renormalized after truncation.  Raises TruncationError with a cutoff hint
-    when the discarded Poisson tail mass reaches tail_tol.
+    Amplitudes are exp(log P_m / 2 + i m arg(alpha)) with P_m the Poisson
+    weight, evaluated in log space so large |alpha| does not underflow, and
+    are renormalized after truncation.  Raises TruncationError with a cutoff
+    hint when the discarded Poisson tail mass reaches tail_tol.
     """
     if fock_cutoff < 0:
         raise BasisError("fock_cutoff must be >= 0")
     nbar = abs(alpha) ** 2
     tail = float(stats.poisson.sf(fock_cutoff, nbar)) if nbar > 0 else 0.0
     if tail >= tail_tol:
-        needed = int(stats.poisson.isf(tail_tol, nbar)) + 1
-        while stats.poisson.sf(needed, nbar) >= tail_tol:
-            needed += 1
+        needed = poisson_cutoff(nbar, tail_tol)
         raise TruncationError(
             f"Poisson tail {tail:.3e} beyond cutoff {fock_cutoff} exceeds "
             f"{tail_tol:.1e}; need fock_cutoff >= {needed}",
             required_cutoff=needed)
-    amps = np.zeros(fock_cutoff + 1, dtype=np.complex128)
-    amps[0] = math.exp(-0.5 * nbar)
-    for m in range(fock_cutoff):
-        amps[m + 1] = amps[m] * alpha / math.sqrt(m + 1)
+    m = np.arange(fock_cutoff + 1)
+    amps = np.exp(0.5 * stats.poisson.logpmf(m, nbar)
+                  + 1j * m * np.angle(alpha))
     return amps / np.linalg.norm(amps)
 
 
@@ -287,6 +312,20 @@ def _resolve_keep(basis: BasisSpec, keep) -> tuple[int, ...]:
     return axes
 
 
+def reduce_operator(mat: np.ndarray, shape: Sequence[int],
+                    keep: Sequence[int]) -> np.ndarray:
+    """Trace an operator on subsystems of sizes `shape` down to `keep`.
+
+    Returns the square matrix on the kept subsystems, in keep's order; each
+    traced subsystem shares one einsum index between row and column.
+    """
+    n = len(shape)
+    cols = [n + a if a in keep else a for a in range(n)]
+    d = math.prod(shape[a] for a in keep)
+    return np.einsum(np.reshape(mat, tuple(shape) * 2), list(range(n)) + cols,
+                     list(keep) + [n + a for a in keep]).reshape(d, d)
+
+
 def partial_trace(obj, keep="electrons", basis: BasisSpec | None = None) -> DensityOperator:
     """Reduced density operator over the kept subsystems.
 
@@ -304,13 +343,7 @@ def partial_trace(obj, keep="electrons", basis: BasisSpec | None = None) -> Dens
             raise BasisError("partial_trace of a raw matrix needs a basis")
         axes = _resolve_keep(basis, keep)
         mat = obj.matrix if isinstance(obj, DensityOperator) else np.asarray(obj)
-        n_ax = basis.num_electrons + 1
-        rho = mat.reshape(basis.shape + basis.shape)
-        traced = [a for a in range(n_ax) if a not in axes]
-        for k, a in enumerate(traced):
-            ax = a - sum(1 for t in traced[:k] if t < a)
-            n_now = rho.ndim // 2
-            rho = np.trace(rho, axis1=ax, axis2=ax + n_now)
+        rho = reduce_operator(mat, basis.shape, axes)
     d = int(round(math.sqrt(rho.size)))
     labels = tuple("photon" if a == basis.num_electrons else f"electron{a}"
                    for a in axes)
@@ -320,11 +353,15 @@ def partial_trace(obj, keep="electrons", basis: BasisSpec | None = None) -> Dens
 
 def computational_labels(num_qubits: int) -> tuple[str, ...]:
     """Basis labels 'e...e' ... 'g...g' of the qubit block, e-first ordering."""
-    labels = []
-    for i in range(2 ** num_qubits):
-        bits = format(i, f"0{num_qubits}b")
-        labels.append("".join("e" if b == "0" else "g" for b in bits))
-    return tuple(labels)
+    return tuple("".join(p) for p in itertools.product("eg", repeat=num_qubits))
+
+
+def _qubit_block_index(basis: BasisSpec) -> np.ndarray:
+    """Electron-subsystem flat indices of |e...e> ... |g...g> (e-first)."""
+    pair = [basis.sideband_position(E_LABEL), basis.sideband_position(G_LABEL)]
+    flat = basis.index_grids()[0]
+    return flat[np.ix_(*[pair] * basis.num_electrons, [0])].ravel() \
+        // basis.photon_dim
 
 
 def computational_block(rho_electrons: np.ndarray | DensityOperator,
@@ -336,19 +373,9 @@ def computational_block(rho_electrons: np.ndarray | DensityOperator,
     """
     mat = rho_electrons.matrix if isinstance(rho_electrons, DensityOperator) \
         else np.asarray(rho_electrons)
-    n = basis.num_electrons
-    if mat.shape != (basis.sideband_count ** n,) * 2:
+    if mat.shape != (basis.sideband_count ** basis.num_electrons,) * 2:
         raise BasisError("operator is not on the full electron subsystem")
-    pos_e = basis.sideband_position(E_LABEL)
-    pos_g = basis.sideband_position(G_LABEL)
-    idx = []
-    for i in range(2 ** n):
-        bits = format(i, f"0{n}b")
-        flat = 0
-        for b in bits:
-            flat = flat * basis.sideband_count + (pos_e if b == "0" else pos_g)
-        idx.append(flat)
-    idx = np.asarray(idx)
+    idx = _qubit_block_index(basis)
     return mat[np.ix_(idx, idx)]
 
 
@@ -361,16 +388,15 @@ def computational_state_vector(state: StateVector) -> np.ndarray:
     basis = state.basis
     if basis.photon_dim != 1 or basis.sideband_indices != qubit_window():
         raise BasisError("state is not on a bare qubit-register basis")
-    n = basis.num_electrons
-    pos_e = basis.sideband_position(E_LABEL)
-    out = np.empty(2 ** n, dtype=np.complex128)
-    for i in range(2 ** n):
-        bits = format(i, f"0{n}b")
-        flat = 0
-        for b in bits:
-            flat = flat * 2 + (pos_e if b == "0" else 1 - pos_e)
-        out[i] = state.amplitudes[flat]
-    return out
+    return state.amplitudes[_qubit_block_index(basis)]
+
+
+def electron_populations(state: StateVector) -> np.ndarray:
+    """(num_electrons, sideband_count) occupation probabilities per electron."""
+    probs = np.abs(state.tensor()) ** 2
+    axes = range(probs.ndim)   # electrons, then the photon
+    return np.array([probs.sum(axis=tuple(a for a in axes if a != el))
+                     for el in axes[:-1]])
 
 
 def sideband_populations(state: StateVector, electron_index: int = 0) -> dict[float, float]:
@@ -378,10 +404,18 @@ def sideband_populations(state: StateVector, electron_index: int = 0) -> dict[fl
     basis = state.basis
     if not 0 <= electron_index < basis.num_electrons:
         raise BasisError(f"no electron {electron_index}")
-    probs = np.abs(state.tensor()) ** 2
-    axes = tuple(a for a in range(basis.num_electrons + 1) if a != electron_index)
-    pops = probs.sum(axis=axes)
+    pops = electron_populations(state)[electron_index]
     return {n: float(p) for n, p in zip(basis.sideband_indices, pops)}
+
+
+def sideband_leakage(populations: np.ndarray, basis: BasisSpec) -> np.ndarray:
+    """Weight outside +-1/2, averaged over electrons.
+
+    populations has shape (..., num_electrons, sideband_count); the leading
+    axes (samples, say) are kept.
+    """
+    pair = [basis.sideband_position(G_LABEL), basis.sideband_position(E_LABEL)]
+    return 1.0 - populations[..., pair].sum(axis=-1).mean(axis=-1)
 
 
 def photon_populations(state: StateVector) -> np.ndarray:
@@ -413,6 +447,8 @@ def uhlmann_fidelity(rho, sigma, psd_tol: float = 1e-10) -> float:
     b = sigma.matrix if isinstance(sigma, DensityOperator) else np.asarray(sigma, dtype=np.complex128)
     if a.shape != b.shape:
         raise BasisError("fidelity operands must share a subsystem")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise DomainError("fidelity operands must be finite")
     sv = np.linalg.svd(_sqrtm_psd(a, psd_tol) @ _sqrtm_psd(b, psd_tol),
                        compute_uv=False)
     f = float(np.sum(sv) ** 2)

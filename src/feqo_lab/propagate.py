@@ -17,16 +17,16 @@ from scipy import special
 
 from .errors import BasisError, DomainError, PropagationError
 from .hamiltonian import HermitianOperator
-from .hilbert import StateVector, partial_trace, von_neumann_entropy
-from .physpar import CODATA2018
+from .hilbert import (StateVector, electron_populations, partial_trace,
+                      photon_number_mean, sideband_leakage,
+                      von_neumann_entropy)
+from .physpar import _HBAR
 
 __all__ = ["EIGEN_ORACLE", "FIXED_STEP", "PropagatorConfig", "Trajectory",
            "propagate", "propagate_eigen"]
 
 EIGEN_ORACLE = "eigen"
 FIXED_STEP = "fixed_step"
-
-_HBAR = CODATA2018.hbar_eV_fs
 
 
 @dataclass(frozen=True)
@@ -62,42 +62,39 @@ class Trajectory:
 
     def computational_populations(self) -> np.ndarray:
         """(n_samples, num_electrons, 2) populations on (g, e) = (-1/2, +1/2)."""
-        win = list(self.basis.sideband_indices)
-        cols = [win.index(-0.5), win.index(0.5)]
+        cols = [self.basis.sideband_position(-0.5),
+                self.basis.sideband_position(0.5)]
         return self.populations[:, :, cols]
 
     def leakage(self) -> np.ndarray:
         """Per-sample leakage outside +-1/2, averaged over electrons."""
-        comp = self.computational_populations().sum(axis=2)
-        return 1.0 - comp.mean(axis=1)
+        return sideband_leakage(self.populations, self.basis)
 
 
 def _sample_metrics(basis, amps: np.ndarray, entropy_subsystem):
     state = StateVector(basis, amps)
-    probs = np.abs(state.tensor()) ** 2
-    pops = np.empty((basis.num_electrons, basis.sideband_count))
-    for el in range(basis.num_electrons):
-        axes = tuple(a for a in range(basis.num_electrons + 1) if a != el)
-        pops[el] = probs.sum(axis=axes)
-    ph = probs.sum(axis=tuple(range(basis.num_electrons)))
-    photon_mean = float(np.dot(np.arange(ph.size), ph))
-    rho = partial_trace(state, keep=entropy_subsystem)
-    entropy = von_neumann_entropy(rho)
-    return pops, photon_mean, entropy, float(np.linalg.norm(amps))
+    entropy = von_neumann_entropy(partial_trace(state, keep=entropy_subsystem))
+    return (electron_populations(state), photon_number_mean(state), entropy,
+            float(np.linalg.norm(amps)))
 
 
-def propagate_eigen(H: HermitianOperator, psi0: StateVector, t_fs: float,
-                    dim_cap: int = 4000) -> StateVector:
-    """Exact evolution psi(t) = V exp(-i L t / hbar) V^dag psi0."""
-    if H.basis is not psi0.basis and H.basis != psi0.basis:
-        raise BasisError("operator and state live on different bases")
+def _eigen_route(H: HermitianOperator, psi0: StateVector, dim_cap: int):
+    """t -> amplitudes of V exp(-i L t / hbar) V^dag psi0."""
     if H.dimension > dim_cap:
         raise PropagationError(
             f"dimension {H.dimension} exceeds the eigen-oracle cap {dim_cap}; "
             "use FIXED_STEP")
     w, v = H.eigensystem()
     coeff = v.conj().T @ psi0.amplitudes
-    return StateVector(psi0.basis, v @ (np.exp(-1j * w * t_fs / _HBAR) * coeff))
+    return lambda t: v @ (np.exp(-1j * w * t / _HBAR) * coeff)
+
+
+def propagate_eigen(H: HermitianOperator, psi0: StateVector, t_fs: float,
+                    dim_cap: int = 4000) -> StateVector:
+    """Exact evolution psi(t) = V exp(-i L t / hbar) V^dag psi0."""
+    if H.basis != psi0.basis:
+        raise BasisError("operator and state live on different bases")
+    return StateVector(psi0.basis, _eigen_route(H, psi0, dim_cap)(t_fs))
 
 
 class _ChebyshevStepper:
@@ -170,7 +167,7 @@ def propagate(H: HermitianOperator, psi0: StateVector, total_time_fs: float,
     def record(k: int, amps: np.ndarray):
         p, ph, s, nrm = _sample_metrics(basis, amps, cfg.entropy_subsystem)
         pops[k], ph_mean[k], entropy[k], norms[k] = p, ph, s, nrm
-        if abs(nrm - 1.0) > cfg.norm_tol:
+        if not abs(nrm - 1.0) <= cfg.norm_tol:
             raise PropagationError(
                 f"norm drift {abs(nrm - 1.0):.3e} at t = {times[k]:.6g} fs "
                 f"exceeds {cfg.norm_tol:.1e}: step too large")
@@ -178,16 +175,10 @@ def propagate(H: HermitianOperator, psi0: StateVector, total_time_fs: float,
     psi0.require_normalized(max(cfg.norm_tol, 1e-9))
 
     if cfg.method == EIGEN_ORACLE:
-        if H.dimension > cfg.eigen_dim_cap:
-            raise PropagationError(
-                f"dimension {H.dimension} exceeds the eigen-oracle cap "
-                f"{cfg.eigen_dim_cap}; use FIXED_STEP")
-        w, v = H.eigensystem()
-        coeff = v.conj().T @ psi0.amplitudes
+        evolve = _eigen_route(H, psi0, cfg.eigen_dim_cap)
         for k, t in enumerate(times):
-            amps = v @ (np.exp(-1j * w * t / _HBAR) * coeff)
-            record(k, amps)
-        final = v @ (np.exp(-1j * w * total_time_fs / _HBAR) * coeff)
+            record(k, evolve(t))
+        final = evolve(total_time_fs)
     else:
         amps = psi0.amplitudes.copy()
         record(0, amps)
@@ -207,7 +198,7 @@ def propagate(H: HermitianOperator, psi0: StateVector, total_time_fs: float,
         final = amps
 
     final_state = StateVector(basis, final)
-    if abs(final_state.norm - 1.0) > cfg.norm_tol:
+    if not abs(final_state.norm - 1.0) <= cfg.norm_tol:
         raise PropagationError(
             f"final-state norm drift {abs(final_state.norm - 1.0):.3e} "
             f"exceeds {cfg.norm_tol:.1e}: step too large")

@@ -8,10 +8,11 @@ from click.testing import CliRunner
 
 from feqo_lab.cli import (ConfigError, PRESETS, ScenarioConfig,
                           export_density_matrix, parse_config_text,
-                          run_experiment)
+                          run_experiment, run_wstate)
 from feqo_lab.cli.config import format_config, parse_set_overrides
 from feqo_lab.cli.main import cli
-from feqo_lab.hilbert import basis_ket, make_basis, qubit_window
+from feqo_lab.hilbert import (StateVector, basis_ket, make_basis,
+                              partial_trace, qubit_window)
 
 UNITLESS_KEYS = {
     "gamma", "fidelity", "ideal_jc_fidelity", "fidelity_post_virtual_z",
@@ -220,6 +221,26 @@ class TestDensityExport:
         real = np.asarray(payload["real"])
         assert real[1, 1] == pytest.approx(1.0)     # |eg| block
 
+    def test_subset_matches_partial_trace(self, tmp_path, rng):
+        from conftest import random_state
+        basis = make_basis(3, qubit_window(), 0)
+        state = StateVector(basis, random_state(rng, basis.dimension))
+        path = tmp_path / "rho_20.json"
+        export_density_matrix(state, path, qubit_subset=(2, 0))
+        payload = json.loads(path.read_text())
+        got = np.asarray(payload["real"]) + 1j * np.asarray(payload["imag"])
+        # reduced on (0, 2) in window order (g, e); flip to (e, g) and
+        # swap the two qubits to the requested (2, 0) order
+        rho = partial_trace(state, keep=(0, 2)).matrix.reshape(2, 2, 2, 2)
+        rho = rho[::-1, ::-1, ::-1, ::-1].transpose(1, 0, 3, 2)
+        assert np.max(np.abs(got - rho.reshape(4, 4))) < 1e-14
+
+    @pytest.mark.parametrize("subset", [(0, 0), (3,), (0, -1)])
+    def test_invalid_subset_rejected(self, subset):
+        with pytest.raises(Exception, match="invalid qubit subset"):
+            export_density_matrix(np.eye(8) / 8.0, "/never/written.json",
+                                  qubit_subset=subset)
+
 
 class TestCliEntry:
     def test_params_command(self):
@@ -302,6 +323,22 @@ class TestCliEntry:
         assert result.exit_code == 0, result.output
         payload = json.loads(result.output)
         assert payload["metrics"]["fidelity"] > 0.97
+
+    def test_wstate_digital_four_qubits(self, tmp_path):
+        # above 3 qubits each step exports the pair its gate acts on
+        record = run_wstate(4, "digital", out_dir=tmp_path, fmt="json")
+        for k in (1, 2, 3):
+            assert record.metrics[f"fidelity_step{k}"] > 0.98
+            payload = json.loads(
+                (tmp_path / f"fig3_rho_step{k}.json").read_text())
+            assert payload["basis_labels"] == ["ee", "eg", "ge", "gg"]
+        assert "fidelity_step4" not in record.metrics
+        diag = record.metrics["diag_populations"]
+        assert len(diag) == 4
+        assert sum(diag.values()) == pytest.approx(1.0, abs=0.01)
+        corrected = json.loads(
+            (tmp_path / "fig3_rho_corrected.json").read_text())
+        assert len(corrected["basis_labels"]) == 4
 
     def test_wstate_analog_command(self, tmp_path):
         runner = CliRunner()

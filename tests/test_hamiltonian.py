@@ -19,18 +19,41 @@ def commutator_norm(a, b):
     return abs(am @ bm - bm @ am).max()
 
 
+def _with(others, el, label):
+    """Electron labels: `others` with `label` inserted at position el."""
+    labels = list(others)
+    labels.insert(el, label)
+    return labels
+
+
 class TestPinem:
+    # (electrons, exact_kn): every ladder element, addressed by encode
+    LADDER_CASES = [(1, False), (2, False), (2, True)]
+
     def test_ladder_elements(self, fig2a_params):
-        basis = make_basis(1, default_window(4), 3)
-        h = build_pinem(fig2a_params, basis).to_dense()
         g = fig2a_params.coupling.g_rad_per_fs
-        window = basis.sideband_indices
-        for i in range(1, len(window)):
-            for m in range(basis.fock_cutoff):
-                lhs = h[basis.encode((window[i],), m),
-                        basis.encode((window[i - 1],), m + 1)]
-                assert lhs == pytest.approx(HBAR * g * math.sqrt(m + 1),
-                                            rel=1e-14)
+        for n_el, exact_kn in self.LADDER_CASES:
+            params = dataclasses.replace(fig2a_params, exact_kn=exact_kn)
+            q_over_k0 = params.drive.q_per_m / params.electron.k0_per_m
+            basis = make_basis(n_el, default_window(4), 3)
+            h = build_pinem(params, basis).to_dense()
+            window = basis.sideband_indices
+            expected_count = 0
+            for el in range(n_el):
+                for others in itertools.product(window, repeat=n_el - 1):
+                    for i in range(1, len(window)):
+                        scale = (1.0 + window[i - 1] * q_over_k0
+                                 if exact_kn else 1.0)
+                        for m in range(basis.fock_cutoff):
+                            up = _with(others, el, window[i])
+                            down = _with(others, el, window[i - 1])
+                            lhs = h[basis.encode(up, m),
+                                    basis.encode(down, m + 1)]
+                            assert lhs == pytest.approx(
+                                HBAR * g * math.sqrt(m + 1) * scale, rel=1e-14)
+                            expected_count += 1
+            # no coupling besides the ladder
+            assert np.count_nonzero(np.triu(h, k=1)) == expected_count
 
     def test_free_theory_is_diagonal(self, fig2a_params):
         zeroed = dataclasses.replace(fig2a_params.coupling, g_rad_per_fs=0.0,
@@ -48,29 +71,38 @@ class TestPinem:
         shift = diff[0, 0]
         assert np.max(np.abs(diff - shift * np.eye(basis.dimension))) < 1e-12
 
+    # (electrons, moving electron); spectators sit on window[0]
+    KN_CASES = [(1, 0), (2, 0), (2, 1)]
+
     def test_exact_kn_scaling(self, fig2a_params):
         params = dataclasses.replace(fig2a_params, exact_kn=True)
-        basis = make_basis(1, default_window(4), 2)
-        h = build_pinem(params, basis).to_dense()
-        h0 = build_pinem(fig2a_params, basis).to_dense()
-        g = fig2a_params.coupling.g_rad_per_fs
         q_over_k0 = (fig2a_params.drive.q_per_m
                      / fig2a_params.electron.k0_per_m)
-        window = basis.sideband_indices
-        i, m = 2, 1   # transition window[1] -> window[2] absorbing a photon
-        scale = 1.0 + window[1] * q_over_k0
-        a = basis.encode((window[2],), m)
-        b = basis.encode((window[1],), m + 1)
-        assert h[a, b] == pytest.approx(h0[a, b] * scale, rel=1e-12)
+        for n_el, el in self.KN_CASES:
+            basis = make_basis(n_el, default_window(4), 2)
+            h = build_pinem(params, basis).to_dense()
+            h0 = build_pinem(fig2a_params, basis).to_dense()
+            window = basis.sideband_indices
+            others = (window[0],) * (n_el - 1)
+            m = 1   # transition window[1] -> window[2] absorbing a photon
+            scale = 1.0 + window[1] * q_over_k0
+            a = basis.encode(_with(others, el, window[2]), m)
+            b = basis.encode(_with(others, el, window[1]), m + 1)
+            assert h0[a, b] != 0.0
+            assert h[a, b] == pytest.approx(h0[a, b] * scale, rel=1e-12)
 
     def test_dispersion_scale_enters_diagonal(self, fig2a_params):
         scaled = dataclasses.replace(fig2a_params, dispersion_scale=100.0)
-        basis = make_basis(1, default_window(4), 0)
-        d0 = build_pinem(fig2a_params, basis).diagonal()
-        d1 = build_pinem(scaled, basis).diagonal()
         w_rec = fig2a_params.coupling.omega_rec_rad_per_fs
-        n = np.asarray(basis.sideband_indices)
-        assert np.allclose(d1 - d0, 99.0 * HBAR * w_rec * n * n, rtol=1e-12)
+        for n_el in (1, 2):
+            basis = make_basis(n_el, default_window(4), 1)
+            d0 = build_pinem(fig2a_params, basis).diagonal()
+            d1 = build_pinem(scaled, basis).diagonal()
+            # every electron adds its own n^2 recoil term
+            n_sq = np.array([sum(n * n for n in basis.decode(i)[0])
+                             for i in range(basis.dimension)])
+            assert np.allclose(d1 - d0, 99.0 * HBAR * w_rec * n_sq,
+                               rtol=1e-12)
 
     def test_sparsity_bound(self, fig2a_params):
         for n_el in (1, 2):
@@ -157,15 +189,18 @@ class TestTC:
         overlap = np.vdot(bright, reached)
         assert overlap == pytest.approx(HBAR * g * math.sqrt(n_el), rel=1e-12)
 
+    # (electrons, active): a strict subset of the register is driven
+    SELECTIVE_CASES = [(3, (0, 1)), (4, (1, 3))]
+
     def test_selective_coupling(self, fig2b_params):
-        basis = make_basis(3, qubit_window(), 1)
-        h = build_tc(fig2b_params, basis, active=(0, 1)).to_dense()
-        # electron 3 exchanges nothing: its flip amplitude must vanish
-        src = basis.encode((-0.5, -0.5, -0.5), 1)
-        dst = basis.encode((-0.5, -0.5, 0.5), 0)
-        assert h[dst, src] == 0.0
-        dst01 = basis.encode((0.5, -0.5, -0.5), 0)
-        assert h[dst01, src] != 0.0
+        for n_el, active in self.SELECTIVE_CASES:
+            basis = make_basis(n_el, qubit_window(), 1)
+            h = build_tc(fig2b_params, basis, active=active).to_dense()
+            # idle electrons exchange nothing: their flip amplitude vanishes
+            src = basis.encode((-0.5,) * n_el, 1)
+            for el in range(n_el):
+                dst = basis.encode(_with((-0.5,) * (n_el - 1), el, 0.5), 0)
+                assert (h[dst, src] != 0.0) == (el in active)
 
 
 class TestDispersiveXY:
@@ -191,12 +226,21 @@ class TestDispersiveXY:
         basis = make_basis(2, qubit_window(), 0)
         assert np.allclose(build_dispersive_xy(0.0, basis).to_dense(), 0.0)
 
+    # (electrons, pair): adjacent, non-adjacent and reversed pairs
+    PAIR_CASES = [(3, (1, 2)), (4, (0, 3)), (4, (3, 1))]
+
     def test_pair_selection(self):
-        basis = make_basis(3, qubit_window(), 0)
-        h = build_dispersive_xy(1e-4, basis, pair=(1, 2)).to_dense()
-        a = basis.encode((-0.5, 0.5, -0.5), 0)
-        b = basis.encode((-0.5, -0.5, 0.5), 0)
-        assert h[a, b] == pytest.approx(HBAR * 1e-4, rel=1e-14)
+        for n_el, (i, j) in self.PAIR_CASES:
+            basis = make_basis(n_el, qubit_window(), 0)
+            h = build_dispersive_xy(1e-4, basis, pair=(i, j)).to_dense()
+            labels_a = [-0.5] * n_el
+            labels_b = [-0.5] * n_el
+            labels_a[i], labels_b[j] = 0.5, 0.5
+            a = basis.encode(labels_a, 0)
+            b = basis.encode(labels_b, 0)
+            assert h[a, b] == pytest.approx(HBAR * 1e-4, rel=1e-14)
+            # one swap per spectator configuration, mirrored: nothing else
+            assert np.count_nonzero(h) == 2 * 2 ** (n_el - 2)
 
 
 class TestExcitationObservable:

@@ -11,7 +11,8 @@ from feqo_lab import (BasisError, DensityOperator, DomainError,
                       fock_ket, make_basis, partial_trace, photon_number_mean,
                       purity, qubit_factor, qubit_window, sideband_populations,
                       tensor_product, uhlmann_fidelity, von_neumann_entropy)
-from feqo_lab.hilbert import StateVector, computational_state_vector
+from feqo_lab.hilbert import (StateVector, computational_state_vector,
+                             electron_populations, sideband_leakage)
 
 from conftest import random_state
 
@@ -65,6 +66,20 @@ class TestBasisSpec:
             labels, m = basis.decode(int(flat))
             assert basis.encode(labels, m) == flat
 
+    @pytest.mark.parametrize("n_el,window,cutoff", [
+        (1, default_window(6), 4), (2, qubit_window(), 3),
+        (3, default_window(4), 2)])
+    def test_index_grids_match_codec(self, n_el, window, cutoff):
+        basis = make_basis(n_el, window, cutoff)
+        flat, labels, photon = basis.index_grids()
+        assert flat.shape == photon.shape == basis.shape
+        assert labels.shape == (n_el,) + basis.shape
+        for full in range(basis.dimension):
+            pos = np.unravel_index(full, basis.shape)
+            assert flat[pos] == full
+            assert (tuple(labels[(slice(None),) + pos]), photon[pos]) \
+                == basis.decode(full)
+
 
 class TestCoherentState:
     def test_vacuum(self):
@@ -97,6 +112,24 @@ class TestCoherentState:
         assert need is not None
         assert stats.poisson.sf(need, 100.0) < 1e-8
         coherent_state(10.0, need)
+
+    def test_large_alpha_no_underflow(self):
+        # exp(-|alpha|^2/2) underflows to 0 at |alpha| = 40
+        amps = coherent_state(40.0, 2000)
+        assert np.all(np.isfinite(amps))
+        assert abs(np.linalg.norm(amps) - 1.0) < 1e-12
+        mean = float(np.dot(np.arange(amps.size), np.abs(amps) ** 2))
+        assert mean == pytest.approx(1600.0, rel=1e-9)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 3.0 + 1.0j, -7.0j, 12.0])
+    def test_matches_linear_recursion(self, alpha):
+        cutoff = default_fock_cutoff(alpha)
+        ref = np.zeros(cutoff + 1, dtype=complex)
+        ref[0] = math.exp(-0.5 * abs(alpha) ** 2)
+        for m in range(cutoff):
+            ref[m + 1] = ref[m] * alpha / math.sqrt(m + 1)
+        ref /= np.linalg.norm(ref)
+        assert np.max(np.abs(coherent_state(alpha, cutoff) - ref)) < 1e-12
 
     def test_amplitude_recursion(self):
         alpha = 2.0 - 0.7j
@@ -238,6 +271,26 @@ class TestFidelity:
         with pytest.raises(DomainError):
             uhlmann_fidelity(bad, np.eye(2) / 2)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_operand(self, value):
+        bad = np.diag([value, 0.0])
+        with pytest.raises(DomainError, match="finite"):
+            uhlmann_fidelity(bad, np.eye(2) / 2)
+        with pytest.raises(DomainError, match="finite"):
+            uhlmann_fidelity(np.eye(2) / 2, bad)
+
+
+class TestFailClosed:
+    def test_nan_state_not_normalized(self):
+        basis = make_basis(1, qubit_window(), 1)
+        state = StateVector(basis, np.full(basis.dimension, np.nan))
+        with pytest.raises(DomainError):
+            state.require_normalized()
+
+    def test_nan_density_operator_invalid(self):
+        with pytest.raises(DomainError):
+            DensityOperator(np.full((2, 2), np.nan)).validate()
+
 
 class TestEntropy:
     def test_pure(self):
@@ -269,6 +322,19 @@ class TestPopulations:
         pops = sideband_populations(state, 0)
         assert pops[0.5] == pytest.approx(0.5, abs=1e-12)
         assert pops[-0.5] == pytest.approx(0.5, abs=1e-12)
+
+    def test_leakage_reducer_matches_per_electron_sums(self, rng):
+        basis = make_basis(2, default_window(4), 2)
+        state = StateVector(basis, random_state(rng, basis.dimension))
+        by_hand = np.mean([1.0 - sideband_populations(state, el)[-0.5]
+                           - sideband_populations(state, el)[0.5]
+                           for el in range(2)])
+        pops = electron_populations(state)
+        assert pops.shape == (2, 4)
+        assert float(sideband_leakage(pops, basis)) == pytest.approx(
+            by_hand, abs=1e-14)
+        # leading axes (samples) pass through
+        assert sideband_leakage(np.stack([pops] * 3), basis).shape == (3,)
 
     def test_photon_mean(self):
         basis = make_basis(1, qubit_window(), 40)

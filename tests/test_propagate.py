@@ -11,7 +11,7 @@ from feqo_lab import (CODATA2018, DomainError, PropagationError,
                       tensor_product)
 from feqo_lab.hamiltonian import HermitianOperator
 from feqo_lab.hilbert import StateVector
-from feqo_lab.propagate import EIGEN_ORACLE, FIXED_STEP
+from feqo_lab.propagate import EIGEN_ORACLE, FIXED_STEP, _ChebyshevStepper
 
 from conftest import random_state
 
@@ -65,6 +65,37 @@ class TestBasics:
         bad = StateVector(basis, np.full(basis.dimension, 0.9 + 0j))
         with pytest.raises(DomainError):
             propagate(h, bad, 1.0)
+
+
+class TestFailClosed:
+    """NaN norms fail the drift guards instead of slipping past them."""
+
+    @pytest.mark.parametrize("method", [EIGEN_ORACLE, FIXED_STEP])
+    def test_nan_initial_state_rejected(self, vacuum_block, method):
+        basis, h = vacuum_block
+        bad = StateVector(basis, np.full(basis.dimension, np.nan))
+        with pytest.raises(DomainError):
+            propagate(h, bad, 1.0, PropagatorConfig(method=method))
+
+    def test_nan_sample_rejected(self, vacuum_block, monkeypatch):
+        basis, h = vacuum_block
+        monkeypatch.setattr(_ChebyshevStepper, "step",
+                            lambda self, v: np.full_like(v, np.nan))
+        with pytest.raises(PropagationError, match="norm drift nan at t = 1"):
+            propagate(h, basis_ket(basis, (0.5,), 0), 2.0, PropagatorConfig(
+                method=FIXED_STEP, sample_every_fs=1.0))
+
+    def test_nan_final_state_rejected(self, vacuum_block, monkeypatch):
+        basis, h = vacuum_block
+        step = _ChebyshevStepper.step
+        # samples at 0, 1, 2 fs stay finite; the 0.5 fs residual step breaks
+        monkeypatch.setattr(
+            _ChebyshevStepper, "step",
+            lambda self, v: step(self, v) if self.dt > 0.75
+            else np.full_like(v, np.nan))
+        with pytest.raises(PropagationError, match="final-state norm"):
+            propagate(h, basis_ket(basis, (0.5,), 0), 2.5, PropagatorConfig(
+                method=FIXED_STEP, sample_every_fs=1.0))
 
 
 class TestVacuumRabi:
