@@ -30,8 +30,8 @@ from .propagate import (EIGEN_ORACLE, FIXED_STEP, PropagatorConfig, Trajectory,
 from .gates import (GateResult, GateSchedule, ScheduleSegment, apply_virtual_z,
                     execute, schedule_iswap, schedule_partial_iswap,
                     schedule_rx, schedule_ry, schedule_rz_composite,
-                    semiclassical_unitary, wstate_digital_sequence,
-                    wstate_tc_analog)
+                    score_state, semiclassical_unitary,
+                    wstate_digital_sequence, wstate_tc_analog)
 from .analytics import (CollapseRevivalPrediction, RegimeReport,
                         classify_regime, collapse_revival_times,
                         leakage_fraction, pe_envelope, pe_exact_sum)

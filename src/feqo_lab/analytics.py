@@ -86,12 +86,6 @@ class CollapseRevivalPrediction:
     t_c_adjacent_fs: float      # 2 pi |alpha| / g, adjacent-component dephasing
     t_rev_fs: float             # 2 pi sqrt(nbar + 1) / g
 
-    def exact_sum(self, t, initial: str = "e"):
-        return pe_exact_sum(self.alpha, self.g_rad_per_fs, t, initial=initial)
-
-    def envelope(self, t):
-        return pe_envelope(self.alpha, self.g_rad_per_fs, t)
-
 
 def collapse_revival_times(alpha: complex, g: float) -> CollapseRevivalPrediction:
     """Both collapse estimates plus the revival time for a coherent drive."""

@@ -107,14 +107,27 @@ def _plot_series(traj: Trajectory, tag: str) -> list[dict]:
     return series
 
 
-def _write_plotdata(path: Path, times: np.ndarray, series: list[dict],
-                    title: str) -> str:
-    payload = {
-        "title": title,
-        "x": {"label": "t_fs", "values": times},
-        "series": series,
-    }
-    return _write_json(path, payload)
+def _emit(out: Path, fmt: str, record: ResultRecord,
+          csvs: dict[str, Trajectory], plot: tuple | None) -> ResultRecord:
+    """Write a run's files, each named after record.experiment: for fmt csv
+    or both a trajectory CSV per csvs entry (keyed by file-name infix), for
+    json or both the plot-data JSON from plot = (title, times, series), and
+    always, last, the summary, which lists every file written before it."""
+    name = record.experiment
+    if fmt in ("csv", "both"):
+        for infix, traj in csvs.items():
+            record.files.append(_write_trajectory_csv(
+                out / f"{name}{infix}_trajectory.csv", traj))
+    if fmt in ("json", "both") and plot is not None:
+        title, times, series = plot
+        record.files.append(_write_json(out / f"{name}_plotdata.json", {
+            "title": title,
+            "x": {"label": "t_fs", "values": times},
+            "series": series,
+        }))
+    record.files.append(_write_json(out / f"{name}_summary.json",
+                                    record.to_dict()))
+    return record
 
 
 def export_density_matrix(state_or_rho, path, basis=None,
@@ -222,7 +235,7 @@ def _with_jc_reference(basis, init_label: str, photon: np.ndarray
 # individual experiments
 # ----------------------------------------------------------------------
 
-def _run_params_only(cfg: ScenarioConfig, out: Path, fmt: str) -> ResultRecord:
+def _run_params_only(cfg: ScenarioConfig, out: Path):
     params = cfg.to_scenario()
     metrics = {
         "E_half_minus_E_minus_half_eV":
@@ -231,10 +244,10 @@ def _run_params_only(cfg: ScenarioConfig, out: Path, fmt: str) -> ResultRecord:
         "leak_detuning_eV": physpar.transition_detuning(0.5, params),
     }
     return ResultRecord("params_only", dict(cfg.values),
-                        _derived_dict(params), metrics)
+                        _derived_dict(params), metrics), {}, None
 
 
-def _run_smith_purcell(cfg: ScenarioConfig, out: Path, fmt: str) -> ResultRecord:
+def _run_smith_purcell(cfg: ScenarioConfig, out: Path):
     params = cfg.to_scenario()
     beta = params.electron.beta
     lam = params.drive.wavelength_nm
@@ -251,11 +264,10 @@ def _run_smith_purcell(cfg: ScenarioConfig, out: Path, fmt: str) -> ResultRecord
         metrics["m0_rejected"] = True
         metrics["m0_error"] = str(exc)
     return ResultRecord("smith_purcell", dict(cfg.values),
-                        _derived_dict(params), metrics)
+                        _derived_dict(params), metrics), {}, None
 
 
-def _resonant_gate_run(name: str, cfg: ScenarioConfig, out: Path,
-                       fmt: str) -> ResultRecord:
+def _resonant_gate_run(name: str, cfg: ScenarioConfig, out: Path):
     """fig2a / fig2a_strong: full-model X gate vs the ideal JC dynamics."""
     params = cfg.to_scenario()
     basis = cfg.to_basis()
@@ -306,17 +318,9 @@ def _resonant_gate_run(name: str, cfg: ScenarioConfig, out: Path,
     if gate_type == "rx" and abs(theta - math.pi) < 1e-12:
         metrics["T_pi_fs"] = total
     record = ResultRecord(name, dict(cfg.values), _derived_dict(params), metrics)
-    if fmt in ("csv", "both"):
-        record.files.append(_write_trajectory_csv(
-            out / f"{name}_pinem_trajectory.csv", traj))
-        record.files.append(_write_trajectory_csv(
-            out / f"{name}_ideal_jc_trajectory.csv", traj_jc))
-    if fmt in ("json", "both"):
-        series = _plot_series(traj, "PINEM") + _plot_series(traj_jc, "JC")
-        record.files.append(_write_plotdata(
-            out / f"{name}_plotdata.json", traj.times_fs, series,
-            f"{name}: resonant X gate populations"))
-    return record
+    series = _plot_series(traj, "PINEM") + _plot_series(traj_jc, "JC")
+    return (record, {"_pinem": traj, "_ideal_jc": traj_jc},
+            (f"{name}: resonant X gate populations", traj.times_fs, series))
 
 
 def _xy_ideal_states(params, qubit_factors: list[np.ndarray], plan
@@ -378,7 +382,7 @@ def _dispersive_gate(cfg: ScenarioConfig, params, basis, angle: float):
     return schedule, prop, result
 
 
-def _run_fig2b(cfg: ScenarioConfig, out: Path, fmt: str) -> ResultRecord:
+def _run_fig2b(cfg: ScenarioConfig, out: Path):
     params = cfg.to_scenario()
     basis = cfg.to_basis()
     if params.coupling.J_rad_per_fs is None:
@@ -410,19 +414,12 @@ def _run_fig2b(cfg: ScenarioConfig, out: Path, fmt: str) -> ResultRecord:
     record = ResultRecord("fig2b", dict(cfg.values), _derived_dict(params),
                           metrics)
     traj = result.trajectories[-1]
-    if fmt in ("csv", "both"):
-        record.files.append(_write_trajectory_csv(
-            out / "fig2b_trajectory.csv", traj))
-        record.files.append(_write_trajectory_csv(
-            out / "fig2b_probe_trajectory.csv", probe))
-    if fmt in ("json", "both"):
-        record.files.append(_write_plotdata(
-            out / "fig2b_plotdata.json", traj.times_fs,
-            _plot_series(traj, "TC"), "fig2b: dispersive iSWAP populations"))
-    return record
+    return (record, {"": traj, "_probe": probe},
+            ("fig2b: dispersive iSWAP populations", traj.times_fs,
+             _plot_series(traj, "TC")))
 
 
-def _run_fig3(cfg: ScenarioConfig, out: Path, fmt: str) -> ResultRecord:
+def _run_fig3(cfg: ScenarioConfig, out: Path):
     params = cfg.to_scenario()
     basis = cfg.to_basis()
     cp = params.coupling
@@ -443,32 +440,26 @@ def _run_fig3(cfg: ScenarioConfig, out: Path, fmt: str) -> ResultRecord:
     psi0 = hilbert.basis_ket(
         basis, (hilbert.E_LABEL,) + (hilbert.G_LABEL,) * (n_q - 1), 0)
 
-    metrics: dict[str, Any] = {"convention": convention}
-    durations = [seg.duration_fs for seg in segs]
-    for k, d in enumerate(durations, start=1):
-        metrics[f"T_theta{k}_fs"] = d
-    metrics["T_total_fs"] = float(sum(durations))
-
+    schedule = gates.GateSchedule(segments=tuple(segs))
+    metrics: dict[str, Any] = {"convention": convention,
+                               "T_total_fs": schedule.wall_time_fs}
     record = ResultRecord("fig3", dict(cfg.values), _derived_dict(params),
                           metrics)
-    prop = cfg.to_propagator(sum(durations))
+    result = gates.execute(schedule, psi0, params,
+                           config=cfg.to_propagator(schedule.wall_time_fs))
     # full matrices up to 3 qubits; above, the pair each gate acts on
     wide = n_q > 3
-    final_result = None
-    for k in range(1, len(segs) + 1):
-        sched_k = gates.GateSchedule(segments=tuple(segs[:k]))
-        res = gates.execute(sched_k, psi0, params,
-                            ideal_target=ideal_states[k - 1], config=prop)
-        metrics[f"fidelity_step{k}"] = res.fidelity
-        rho_path = out / f"fig3_rho_step{k}.json"
+    for k, (seg, state, ideal) in enumerate(
+            zip(segs, result.segment_states, ideal_states), start=1):
+        metrics[f"T_theta{k}_fs"] = seg.duration_fs
+        score = gates.score_state(state, ideal)
+        metrics[f"fidelity_step{k}"] = score.fidelity
         record.files.append(export_density_matrix(
-            res.reduced_qubits, rho_path,
-            qubit_subset=plan[k - 1][0] if wide else None))
-        final_result = res
+            score.reduced_qubits, out / f"fig3_rho_step{k}.json",
+            qubit_subset=seg.active_electrons if wide else None))
 
     # readout frame correction on qubit 2 clears the geg-vs-egg phase
-    corrected = gates.apply_virtual_z(final_result.final_state,
-                                      {1: math.pi / 4})
+    corrected = gates.apply_virtual_z(result.final_state, {1: math.pi / 4})
     rho_c = hilbert.computational_block(
         hilbert.partial_trace(corrected, keep="electrons"), basis)
     diag = np.real(np.diag(rho_c))
@@ -477,25 +468,18 @@ def _run_fig3(cfg: ScenarioConfig, out: Path, fmt: str) -> ResultRecord:
     metrics["diag_populations"] = {labels[i]: float(diag[i])
                                    for i in single_exc}
     metrics["virtual_rz_on_qubit2_rad"] = math.pi / 2
-    metrics["leakage_final"] = final_result.leakage
+    metrics["leakage_final"] = result.leakage
     record.files.append(export_density_matrix(
         hilbert.DensityOperator(rho_c), out / "fig3_rho_corrected.json",
         qubit_subset=(0, 1) if wide else None))
 
-    if fmt in ("csv", "both") and final_result.trajectories:
-        for j, traj in enumerate(final_result.trajectories, start=1):
-            record.files.append(_write_trajectory_csv(
-                out / f"fig3_gate{j}_trajectory.csv", traj))
-    if fmt in ("json", "both") and final_result.trajectories:
-        traj = final_result.trajectories[0]
-        record.files.append(_write_plotdata(
-            out / "fig3_plotdata.json", traj.times_fs,
-            _plot_series(traj, "gate1"), "fig3: W-state preparation, gate 1"))
-    return record
+    trajs = result.trajectories
+    return (record, {f"_gate{j}": t for j, t in enumerate(trajs, start=1)},
+            ("fig3: W-state preparation, gate 1", trajs[0].times_fs,
+             _plot_series(trajs[0], "gate1")))
 
 
-def _run_collapse_revival(name: str, cfg: ScenarioConfig, out: Path,
-                          fmt: str) -> ResultRecord:
+def _run_collapse_revival(name: str, cfg: ScenarioConfig, out: Path):
     """s1_bragg / s2_ramannath: full model vs ideal JC vs the exact series."""
     params = cfg.to_scenario()
     basis = cfg.to_basis()
@@ -545,18 +529,10 @@ def _run_collapse_revival(name: str, cfg: ScenarioConfig, out: Path,
     }
     record = ResultRecord(name, dict(cfg.values), _derived_dict(params),
                           metrics)
-    if fmt in ("csv", "both"):
-        record.files.append(_write_trajectory_csv(
-            out / f"{name}_pinem_trajectory.csv", traj))
-        record.files.append(_write_trajectory_csv(
-            out / f"{name}_ideal_jc_trajectory.csv", traj_jc))
-    if fmt in ("json", "both"):
-        series_plots = _plot_series(traj, "PINEM")
-        series_plots.append({"label": "exact series P_e", "values": series})
-        record.files.append(_write_plotdata(
-            out / f"{name}_plotdata.json", traj.times_fs, series_plots,
-            f"{name}: collapse and revival"))
-    return record
+    series_plots = _plot_series(traj, "PINEM")
+    series_plots.append({"label": "exact series P_e", "values": series})
+    return (record, {"_pinem": traj, "_ideal_jc": traj_jc},
+            (f"{name}: collapse and revival", traj.times_fs, series_plots))
 
 
 def _merged_config(preset: dict[str, Any], fixed: dict[str, Any],
@@ -569,19 +545,16 @@ def _merged_config(preset: dict[str, Any], fixed: dict[str, Any],
         file_text=config_text, sets=sets)
 
 
-def run_wstate(n_qubits: int, mode: str, overrides: dict[str, Any] | None = None,
-               out_dir=".", fmt: str = "both", sets: list[str] | None = None,
-               config_text: str | None = None) -> ResultRecord:
-    """Analog (resonant TC) or digital (partial-iSWAP) W-state preparation."""
+def _run(runner, cfg: ScenarioConfig, out_dir, fmt: str) -> ResultRecord:
+    """Check fmt, then run runner(cfg, out) -> (record, csvs, plot) and
+    write its files through _emit."""
+    if fmt not in ("csv", "json", "both"):
+        raise ConfigError(f"format must be csv, json, or both, not {fmt!r}")
     out = Path(out_dir)
-    if mode not in ("digital", "analog"):
-        raise ConfigError(f"wstate mode must be digital or analog, not {mode!r}")
-    cfg = _merged_config(
-        PRESETS["fig3"] if mode == "digital" else WSTATE_ANALOG_BASE,
-        {"wstate.n": n_qubits, "basis.num_electrons": n_qubits},
-        overrides, config_text, sets)
-    if mode == "digital":
-        return _run_fig3(cfg, out, fmt)
+    return _emit(out, fmt, *runner(cfg, out))
+
+
+def _run_wstate_analog(n_qubits: int, cfg: ScenarioConfig, out: Path):
     params = cfg.to_scenario()
     basis = cfg.to_basis()
     g = params.coupling.g_rad_per_fs
@@ -606,16 +579,23 @@ def run_wstate(n_qubits: int, mode: str, overrides: dict[str, Any] | None = None
     }
     record = ResultRecord("wstate_analog", dict(cfg.values),
                           _derived_dict(params), metrics)
-    if fmt in ("csv", "both"):
-        record.files.append(_write_trajectory_csv(
-            out / "wstate_analog_trajectory.csv", traj))
-    if fmt in ("json", "both"):
-        record.files.append(_write_plotdata(
-            out / "wstate_analog_plotdata.json", traj.times_fs,
-            _plot_series(traj, "TC"), "analog W state via resonant TC"))
-    record.files.append(_write_json(Path(out_dir) / "wstate_analog_summary.json",
-                                    record.to_dict()))
-    return record
+    return (record, {"": traj}, ("analog W state via resonant TC",
+                                 traj.times_fs, _plot_series(traj, "TC")))
+
+
+def run_wstate(n_qubits: int, mode: str, overrides: dict[str, Any] | None = None,
+               out_dir=".", fmt: str = "both", sets: list[str] | None = None,
+               config_text: str | None = None) -> ResultRecord:
+    """Analog (resonant TC) or digital (partial-iSWAP) W-state preparation."""
+    if mode not in ("digital", "analog"):
+        raise ConfigError(f"wstate mode must be digital or analog, not {mode!r}")
+    digital = mode == "digital"
+    cfg = _merged_config(
+        PRESETS["fig3"] if digital else WSTATE_ANALOG_BASE,
+        {"wstate.n": n_qubits, "basis.num_electrons": n_qubits},
+        overrides, config_text, sets)
+    return _run(_run_fig3 if digital else partial(_run_wstate_analog, n_qubits),
+                cfg, out_dir, fmt)
 
 
 def run_gate(gate_type: str, theta: float | None = None,
@@ -623,29 +603,22 @@ def run_gate(gate_type: str, theta: float | None = None,
              fmt: str = "both", sets: list[str] | None = None,
              config_text: str | None = None) -> ResultRecord:
     """Run a single named gate on the matching preset scenario."""
-    out = Path(out_dir)
     fixed: dict[str, Any] = {"gate.type": gate_type}
     if gate_type in ("rx", "ry", "rz"):
         if theta is not None:
             fixed["gate.theta_rad"] = theta
-        cfg = _merged_config(PRESETS["fig2a"], fixed, overrides, config_text,
-                             sets)
-        record = _resonant_gate_run(f"gate_{gate_type}", cfg, out, fmt)
+        preset, runner = "fig2a", partial(_resonant_gate_run, f"gate_{gate_type}")
     elif gate_type in ("iswap", "partial_iswap"):
         if gate_type == "partial_iswap":
             fixed["gate.theta_rad"] = theta if theta is not None else math.pi / 4
-        cfg = _merged_config(PRESETS["fig2b"], fixed, overrides, config_text,
-                             sets)
-        record = _run_fig2b_like_gate(cfg, gate_type, out, fmt)
+        preset, runner = "fig2b", partial(_run_fig2b_like_gate, gate_type)
     else:
         raise ConfigError(f"unknown gate type {gate_type!r}")
-    record.files.append(_write_json(out / f"gate_{gate_type}_summary.json",
-                                    record.to_dict()))
-    return record
+    cfg = _merged_config(PRESETS[preset], fixed, overrides, config_text, sets)
+    return _run(runner, cfg, out_dir, fmt)
 
 
-def _run_fig2b_like_gate(cfg: ScenarioConfig, gate_type: str, out: Path,
-                         fmt: str) -> ResultRecord:
+def _run_fig2b_like_gate(gate_type: str, cfg: ScenarioConfig, out: Path):
     angle = math.pi / 2 if gate_type == "iswap" \
         else cfg.get("gate.theta_rad", math.pi / 4)
     params = cfg.to_scenario()
@@ -659,10 +632,8 @@ def _run_fig2b_like_gate(cfg: ScenarioConfig, gate_type: str, out: Path,
     }
     record = ResultRecord(f"gate_{gate_type}", dict(cfg.values),
                           _derived_dict(params), metrics)
-    if fmt in ("csv", "both") and result.trajectories:
-        record.files.append(_write_trajectory_csv(
-            out / f"gate_{gate_type}_trajectory.csv", result.trajectories[-1]))
-    return record
+    trajs = result.trajectories
+    return record, {"": trajs[-1]} if trajs else {}, None
 
 
 _RUNNERS = {
@@ -685,11 +656,5 @@ def run_experiment(name: str, overrides: dict[str, Any] | None = None,
     if name not in _RUNNERS:
         raise ConfigError(f"unknown experiment {name!r}; available: "
                           f"{', '.join(sorted(_RUNNERS))}")
-    if fmt not in ("csv", "json", "both"):
-        raise ConfigError(f"format must be csv, json, or both, not {fmt!r}")
     cfg = _merged_config(PRESETS[name], {}, overrides, config_text, sets)
-    out = Path(out_dir)
-    record = _RUNNERS[name](cfg, out, fmt)
-    record.files.append(_write_json(out / f"{name}_summary.json",
-                                    record.to_dict()))
-    return record
+    return _run(_RUNNERS[name], cfg, out_dir, fmt)

@@ -14,25 +14,28 @@ import click
 from ..errors import (BasisError, DomainError, PropagationError,
                       TruncationError)
 from .. import analytics
-from .config import ConfigError, ScenarioConfig, format_config
-from .experiments import (_derived_dict, _jsonable, available_experiments,
-                          run_experiment, run_gate, run_wstate)
+from .config import ConfigError, format_config
+from .experiments import (_derived_dict, _jsonable, _merged_config,
+                          available_experiments, run_experiment, run_gate,
+                          run_wstate)
 from .presets import PRESETS
 
 EXIT_CONFIG = 2
 EXIT_NUMERICS = 3
 
 
-def _common_options(fn):
+def _config_options(fn):
     fn = click.option("--config", "config_path", type=click.Path(exists=True),
                       default=None, help="Flat key-tree config file.")(fn)
-    fn = click.option("--set", "sets", multiple=True, metavar="KEY=VALUE",
-                      help="Override one config key (repeatable).")(fn)
+    return click.option("--set", "sets", multiple=True, metavar="KEY=VALUE",
+                        help="Override one config key (repeatable).")(fn)
+
+
+def _common_options(fn):
     fn = click.option("--out", "out_dir", default=".", show_default=True,
-                      help="Output directory.")(fn)
-    fn = click.option("--format", "fmt", default="both", show_default=True,
-                      type=click.Choice(["csv", "json", "both"]))(fn)
-    return fn
+                      help="Output directory.")(_config_options(fn))
+    return click.option("--format", "fmt", default="both", show_default=True,
+                        type=click.Choice(["csv", "json", "both"]))(fn)
 
 
 def _run_guarded(fn, *args, **kwargs):
@@ -64,14 +67,12 @@ def cli():
 @cli.command()
 @click.option("--preset", default="params_only", show_default=True,
               type=click.Choice(sorted(PRESETS)))
-@_common_options
-def params(preset, config_path, sets, out_dir, fmt):
+@_config_options
+def params(preset, config_path, sets):
     """Echo the derived parameter pipeline for a scenario."""
     def go():
-        overrides = dict(PRESETS[preset])
-        cfg = ScenarioConfig.from_sources(
-            preset=overrides, file_text=_read_config(config_path),
-            sets=list(sets))
+        cfg = _merged_config(PRESETS[preset], {}, None,
+                             _read_config(config_path), list(sets))
         payload = {"config": cfg.values,
                    "derived": _derived_dict(cfg.to_scenario())}
         click.echo(json.dumps(_jsonable(payload), indent=2, sort_keys=True))
@@ -124,13 +125,12 @@ def analytics_group():
 @analytics_group.command()
 @click.option("--preset", default="s1_bragg", show_default=True,
               type=click.Choice(sorted(PRESETS)))
-@_common_options
-def collapse(preset, config_path, sets, out_dir, fmt):
+@_config_options
+def collapse(preset, config_path, sets):
     """Report collapse and revival times for a scenario."""
     def go():
-        cfg = ScenarioConfig.from_sources(
-            preset=dict(PRESETS[preset]), file_text=_read_config(config_path),
-            sets=list(sets))
+        cfg = _merged_config(PRESETS[preset], {}, None,
+                             _read_config(config_path), list(sets))
         params_ = cfg.to_scenario()
         pred = analytics.collapse_revival_times(
             cfg.alpha(), params_.coupling.g_rad_per_fs)
@@ -150,13 +150,12 @@ def collapse(preset, config_path, sets, out_dir, fmt):
               type=click.Choice(sorted(PRESETS)))
 @click.option("--kappa", type=float, default=0.5, show_default=True,
               help="Bragg/Raman-Nath threshold on g*sqrt(nbar+1)/omega_rec.")
-@_common_options
-def regime(preset, kappa, config_path, sets, out_dir, fmt):
+@_config_options
+def regime(preset, kappa, config_path, sets):
     """Classify the diffraction regime of a scenario (heuristic)."""
     def go():
-        cfg = ScenarioConfig.from_sources(
-            preset=dict(PRESETS[preset]), file_text=_read_config(config_path),
-            sets=list(sets))
+        cfg = _merged_config(PRESETS[preset], {}, None,
+                             _read_config(config_path), list(sets))
         report = analytics.classify_regime(cfg.to_scenario(), cfg.alpha(),
                                            kappa=kappa)
         click.echo(json.dumps(_jsonable(report.__dict__), indent=2,

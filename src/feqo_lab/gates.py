@@ -33,6 +33,7 @@ from .propagate import PropagatorConfig, Trajectory, propagate
 __all__ = [
     "ScheduleSegment",
     "GateSchedule",
+    "StateScore",
     "GateResult",
     "schedule_rx",
     "schedule_ry",
@@ -43,6 +44,7 @@ __all__ = [
     "wstate_tc_analog",
     "apply_virtual_z",
     "semiclassical_unitary",
+    "score_state",
     "execute",
     "DispersiveRegimeWarning",
 ]
@@ -63,7 +65,6 @@ class ScheduleSegment:
     duration_fs: float
     drive_phase_rad: float = 0.0
     coherent_alpha: complex = 0j
-    omega_L_rad_per_fs: float | None = None
     active_electrons: tuple[int, ...] | None = None
     rotation_angle_rad: float = 0.0      # semiclassical 2g|alpha|T, bookkeeping
     virtual_z_after: dict = field(default_factory=dict)
@@ -94,21 +95,28 @@ class GateSchedule:
 
 
 @dataclass
-class GateResult:
-    """Post-execution state and metrics of one schedule."""
+class StateScore:
+    """Qubit-block density matrix and metrics of one register state."""
 
-    final_state: StateVector
     reduced_qubits: DensityOperator
     fidelity: float | None
     entropy_nats: float
     leakage: float
-    wall_time_fs: float
-    trajectories: list[Trajectory] = field(default_factory=list)
-    virtual_z_log: dict = field(default_factory=dict)
 
     @property
     def entropy_over_ln2(self) -> float:
         return self.entropy_nats / math.log(2.0)
+
+
+@dataclass
+class GateResult(StateScore):
+    """Post-execution state of one schedule and the score of its final state."""
+
+    final_state: StateVector
+    wall_time_fs: float
+    trajectories: list[Trajectory] = field(default_factory=list)
+    virtual_z_log: dict = field(default_factory=dict)
+    segment_states: list[StateVector] = field(default_factory=list)
 
 
 def _rot_segment(angle: float, base_phase: float, g: float, alpha: complex,
@@ -280,14 +288,16 @@ def execute(schedule: GateSchedule, initial_state: StateVector,
     virtual-Z phases fold in at its boundary.  With interaction_frame=True
     the accumulated free-evolution phases exp(+i sum_k diag(H_k) T_k / hbar)
     are removed before scoring, so fidelities compare against interaction-
-    picture targets.  ideal_target is a pure state vector or density operator
-    on the (e, g)-ordered qubit block.
+    picture targets.  The state after each segment is kept in that frame as
+    segment_states; the last one, with extra_virtual_z applied, is the final
+    state that score_state scores against ideal_target.
     """
     basis = initial_state.basis
     amps = initial_state.amplitudes.copy()
     applied_phase = 0.0
     diag_accum = np.zeros(basis.dimension)
     trajectories: list[Trajectory] = []
+    segment_states: list[StateVector] = []
 
     for seg in schedule.segments:
         dphi = seg.drive_phase_rad - applied_phase
@@ -306,23 +316,35 @@ def execute(schedule: GateSchedule, initial_state: StateVector,
         if seg.virtual_z_after:
             amps = apply_virtual_z(StateVector(basis, amps),
                                    seg.virtual_z_after).amplitudes
+        segment_states.append(StateVector(
+            basis, np.exp(1j * diag_accum / _HBAR) * amps
+            if interaction_frame else amps))
 
-    if interaction_frame:
-        amps = np.exp(1j * diag_accum / _HBAR) * amps
-
+    final = segment_states[-1] if segment_states else StateVector(basis, amps)
     vz_log = dict(schedule.virtual_z_log)
     if extra_virtual_z:
-        amps = apply_virtual_z(StateVector(basis, amps),
-                               extra_virtual_z).amplitudes
+        final = apply_virtual_z(final, extra_virtual_z)
         for q, phi in extra_virtual_z.items():
             vz_log[q] = vz_log.get(q, 0.0) + phi
 
-    final = StateVector(basis, amps)
-    rho_e = partial_trace(final, keep="electrons")
+    return GateResult(**vars(score_state(final, ideal_target)),
+                      final_state=final, wall_time_fs=schedule.wall_time_fs,
+                      trajectories=trajectories, virtual_z_log=vz_log,
+                      segment_states=segment_states)
+
+
+def score_state(state: StateVector,
+                ideal_target: np.ndarray | DensityOperator | None = None
+                ) -> StateScore:
+    """Qubit block, electron entropy, sideband leakage and, unless
+    ideal_target is None, Uhlmann fidelity against it (a pure state vector
+    or density operator on the (e, g)-ordered qubit block)."""
+    basis = state.basis
+    rho_e = partial_trace(state, keep="electrons")
     block = computational_block(rho_e, basis)
     reduced = DensityOperator(block, labels=computational_labels(
         basis.num_electrons), subsystem="qubits")
-    leak = float(sideband_leakage(electron_populations(final), basis))
+    leak = float(sideband_leakage(electron_populations(state), basis))
     fidelity = None
     if ideal_target is not None:
         target = (ideal_target.matrix if isinstance(ideal_target, DensityOperator)
@@ -330,9 +352,5 @@ def execute(schedule: GateSchedule, initial_state: StateVector,
         if target.ndim == 1:
             target = np.outer(target, target.conj())
         fidelity = uhlmann_fidelity(block, target)
-    return GateResult(final_state=final, reduced_qubits=reduced,
-                      fidelity=fidelity,
-                      entropy_nats=von_neumann_entropy(rho_e),
-                      leakage=max(leak, 0.0),
-                      wall_time_fs=schedule.wall_time_fs,
-                      trajectories=trajectories, virtual_z_log=vz_log)
+    return StateScore(reduced, fidelity, von_neumann_entropy(rho_e),
+                      max(leak, 0.0))

@@ -157,7 +157,6 @@ def build_pinem(params: ScenarioParams, basis: BasisSpec) -> HermitianOperator:
     """
     if basis.sideband_count < 2:
         raise BasisError("PINEM needs at least two sidebands")
-    hbar = params.constants.hbar_eV_fs
     wq = params.qubit_splitting_rad_per_fs
     w_rec = params.coupling.omega_rec_rad_per_fs * params.dispersion_scale
     wl = params.drive.omega_L_rad_per_fs
@@ -165,10 +164,10 @@ def build_pinem(params: ScenarioParams, basis: BasisSpec) -> HermitianOperator:
     q_over_k0 = params.drive.q_per_m / params.electron.k0_per_m
 
     _, labels, photon = basis.index_grids()
-    site = hbar * (labels * wq + labels * labels * w_rec)
-    diag = site.sum(axis=0) + hbar * wl * photon
+    site = _HBAR * (labels * wq + labels * labels * w_rec)
+    diag = site.sum(axis=0) + _HBAR * wl * photon
     return _operator(basis, diag, _ladder(
-        basis, range(basis.num_electrons), hbar * g,
+        basis, range(basis.num_electrons), _HBAR * g,
         q_over_k0 if params.exact_kn else None))
 
 
@@ -193,7 +192,6 @@ def build_tc(params: ScenarioParams, basis: BasisSpec,
     idle electrons keep their sigma_z term but exchange no photons.
     """
     _require_qubit_window(basis)
-    hbar = params.constants.hbar_eV_fs
     wq = params.qubit_splitting_rad_per_fs
     wl = params.drive.omega_L_rad_per_fs
     g = params.coupling.g_rad_per_fs
@@ -204,8 +202,8 @@ def build_tc(params: ScenarioParams, basis: BasisSpec,
 
     _, labels, photon = basis.index_grids()
     sz = (2.0 * labels).sum(axis=0)
-    diag = hbar * (wq * sz / 2.0 + wl * photon)
-    return _operator(basis, diag, _ladder(basis, active, hbar * g))
+    diag = _HBAR * (wq * sz / 2.0 + wl * photon)
+    return _operator(basis, diag, _ladder(basis, active, _HBAR * g))
 
 
 def build_jc_interaction(g_rad_per_fs: float, basis: BasisSpec) -> HermitianOperator:

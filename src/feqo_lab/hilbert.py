@@ -193,9 +193,6 @@ class StateVector:
                               f"beyond {tol}")
         return self
 
-    def normalized(self) -> "StateVector":
-        return StateVector(self.basis, self.amplitudes / self.norm)
-
     def tensor(self) -> np.ndarray:
         return self.amplitudes.reshape(self.basis.shape)
 

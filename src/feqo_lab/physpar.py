@@ -63,21 +63,21 @@ CODATA2018 = Constants()
 _HBAR = CODATA2018.hbar_eV_fs
 
 
-def ev_to_rad_per_fs(energy_eV: float, constants: Constants = CODATA2018) -> float:
+def ev_to_rad_per_fs(energy_eV: float) -> float:
     """Convert an energy in eV to an angular frequency in rad/fs."""
-    return energy_eV / constants.hbar_eV_fs
+    return energy_eV / _HBAR
 
 
-def rad_per_fs_to_ev(omega_rad_per_fs: float, constants: Constants = CODATA2018) -> float:
+def rad_per_fs_to_ev(omega_rad_per_fs: float) -> float:
     """Convert an angular frequency in rad/fs to an energy in eV."""
-    return omega_rad_per_fs * constants.hbar_eV_fs
+    return omega_rad_per_fs * _HBAR
 
 
-def wavelength_nm(omega_rad_per_fs: float, constants: Constants = CODATA2018) -> float:
+def wavelength_nm(omega_rad_per_fs: float) -> float:
     """Free-space wavelength (nm) of an angular frequency (rad/fs)."""
     if omega_rad_per_fs <= 0:
         raise DomainError("omega must be positive")
-    return 2.0 * math.pi * constants.c_nm_per_fs / omega_rad_per_fs
+    return 2.0 * math.pi * CODATA2018.c_nm_per_fs / omega_rad_per_fs
 
 
 @dataclass(frozen=True)
@@ -96,8 +96,7 @@ class ElectronParams:
         return self.v0_m_per_s * 1e-6
 
 
-def derive_electron(beta: float, E0_eV: float | None = None,
-                    constants: Constants = CODATA2018) -> ElectronParams:
+def derive_electron(beta: float, E0_eV: float | None = None) -> ElectronParams:
     """Expand the relativistic dispersion around the injection momentum.
 
     beta must lie strictly inside (0, 1); the stored center energy is
@@ -106,9 +105,9 @@ def derive_electron(beta: float, E0_eV: float | None = None,
     if not 0.0 < beta < 1.0:
         raise DomainError(f"beta must be in (0, 1), got {beta}")
     gamma = 1.0 / math.sqrt(1.0 - beta * beta)
-    v0 = beta * constants.c
-    p0 = gamma * constants.m_e * v0
-    k0 = p0 / constants.hbar_J_s
+    v0 = beta * CODATA2018.c
+    p0 = gamma * CODATA2018.m_e * v0
+    k0 = p0 / CODATA2018.hbar_J_s
     return ElectronParams(beta=beta, E0_eV=E0_eV, gamma=gamma,
                           v0_m_per_s=v0, k0_per_m=k0, p0_kg_m_per_s=p0)
 
@@ -148,22 +147,21 @@ class ModeQuantization:
             raise DomainError("single-photon amplitude must be positive")
 
 
-def single_photon_amplitude(omega_L_rad_per_fs: float, V_L_m3: float,
-                            constants: Constants = CODATA2018) -> float:
+def single_photon_amplitude(omega_L_rad_per_fs: float, V_L_m3: float) -> float:
     """Vacuum field amplitude sqrt(hbar*omega_L / (2*eps0*V_L)) in V/m."""
     if omega_L_rad_per_fs <= 0 or V_L_m3 <= 0:
         raise DomainError("omega_L and V_L must be positive")
-    photon_energy_J = omega_L_rad_per_fs * 1e15 * constants.hbar_J_s
-    return math.sqrt(photon_energy_J / (2.0 * constants.eps0 * V_L_m3))
+    photon_energy_J = omega_L_rad_per_fs * 1e15 * CODATA2018.hbar_J_s
+    return math.sqrt(photon_energy_J / (2.0 * CODATA2018.eps0 * V_L_m3))
 
 
-def quantization_volume(omega_L_rad_per_fs: float, E_z_tilde_V_per_m: float,
-                        constants: Constants = CODATA2018) -> float:
+def quantization_volume(omega_L_rad_per_fs: float,
+                        E_z_tilde_V_per_m: float) -> float:
     """Inverse query: box volume (m^3) that yields a given vacuum amplitude."""
     if omega_L_rad_per_fs <= 0 or E_z_tilde_V_per_m <= 0:
         raise DomainError("omega_L and E_z_tilde must be positive")
-    photon_energy_J = omega_L_rad_per_fs * 1e15 * constants.hbar_J_s
-    return photon_energy_J / (2.0 * constants.eps0 * E_z_tilde_V_per_m ** 2)
+    photon_energy_J = omega_L_rad_per_fs * 1e15 * CODATA2018.hbar_J_s
+    return photon_energy_J / (2.0 * CODATA2018.eps0 * E_z_tilde_V_per_m ** 2)
 
 
 @dataclass(frozen=True)
@@ -192,12 +190,11 @@ class DerivedCoupling:
 
 
 def coupling_constant(electron: ElectronParams, drive: DriveParams,
-                      mode: ModeQuantization,
-                      constants: Constants = CODATA2018) -> DerivedCoupling:
+                      mode: ModeQuantization) -> DerivedCoupling:
     """Evaluate g = -e*Ez~*k0/(2*gamma*m_e*omega_L) plus detuning, J, recoil."""
     omega_SI = drive.omega_L_rad_per_fs * 1e15
-    g_signed_SI = (-constants.e * mode.E_z_tilde_V_per_m * electron.k0_per_m
-                   / (2.0 * electron.gamma * constants.m_e * omega_SI))
+    g_signed_SI = (-CODATA2018.e * mode.E_z_tilde_V_per_m * electron.k0_per_m
+                   / (2.0 * electron.gamma * CODATA2018.m_e * omega_SI))
     g_signed = g_signed_SI * 1e-15
     g = abs(g_signed)
 
@@ -206,8 +203,8 @@ def coupling_constant(electron: ElectronParams, drive: DriveParams,
     delta = abs(delta_signed)
 
     q_SI = drive.q_per_m
-    omega_rec = (constants.hbar_J_s * q_SI * q_SI
-                 / (2.0 * electron.gamma ** 3 * constants.m_e)) * 1e-15
+    omega_rec = (CODATA2018.hbar_J_s * q_SI * q_SI
+                 / (2.0 * electron.gamma ** 3 * CODATA2018.m_e)) * 1e-15
 
     if delta > DerivedCoupling._RESONANCE_TOL:
         J = g * g / delta
@@ -239,7 +236,6 @@ class ScenarioParams:
     ladder scaling instead of the k_n ~ k0 approximation.
     """
 
-    constants: Constants
     electron: ElectronParams
     drive: DriveParams
     mode: ModeQuantization
@@ -265,8 +261,7 @@ def make_scenario(*, beta: float, photon_energy_eV: float,
                   harmonic_m: int = 1,
                   incidence_theta_rad: float = 0.0,
                   dispersion_scale: float = 1.0,
-                  exact_kn: bool = False,
-                  constants: Constants = CODATA2018) -> ScenarioParams:
+                  exact_kn: bool = False) -> ScenarioParams:
     """Assemble a ScenarioParams from raw inputs, deriving everything else.
 
     The grating period is either given explicitly or phase-matched to a
@@ -276,13 +271,13 @@ def make_scenario(*, beta: float, photon_energy_eV: float,
     """
     if photon_energy_eV <= 0:
         raise DomainError("photon energy must be positive")
-    electron = derive_electron(beta, E0_eV, constants)
-    omega_L = ev_to_rad_per_fs(photon_energy_eV, constants)
+    electron = derive_electron(beta, E0_eV)
+    omega_L = ev_to_rad_per_fs(photon_energy_eV)
 
     if grating_period_nm is None:
         ref_eV = (phase_match_photon_energy_eV
                   if phase_match_photon_energy_eV is not None else photon_energy_eV)
-        ref_lambda = wavelength_nm(ev_to_rad_per_fs(ref_eV, constants), constants)
+        ref_lambda = wavelength_nm(ev_to_rad_per_fs(ref_eV))
         grating_period_nm = classical_grating_period(ref_lambda, beta)
     elif grating_period_nm <= 0:
         raise DomainError("grating period must be positive")
@@ -290,7 +285,7 @@ def make_scenario(*, beta: float, photon_energy_eV: float,
     drive = DriveParams(
         omega_L_rad_per_fs=omega_L,
         photon_energy_eV=photon_energy_eV,
-        wavelength_nm=wavelength_nm(omega_L, constants),
+        wavelength_nm=wavelength_nm(omega_L),
         phi0_rad=phi0_rad,
         alpha=complex(alpha),
         grating_period_nm=grating_period_nm,
@@ -306,22 +301,20 @@ def make_scenario(*, beta: float, photon_energy_eV: float,
         if box_edge_nm <= 0:
             raise DomainError("box edge must be positive")
         volume = (box_edge_nm * 1e-9) ** 3
-        mode = ModeQuantization(single_photon_amplitude(omega_L, volume, constants),
+        mode = ModeQuantization(single_photon_amplitude(omega_L, volume),
                                 volume, authoritative="volume")
     elif box_volume_m3 is not None:
-        mode = ModeQuantization(
-            single_photon_amplitude(omega_L, box_volume_m3, constants),
-            box_volume_m3, authoritative="volume")
+        mode = ModeQuantization(single_photon_amplitude(omega_L, box_volume_m3),
+                                box_volume_m3, authoritative="volume")
     else:
         # volume back-computed as metadata
         mode = ModeQuantization(E_z_tilde_V_per_m,
-                                quantization_volume(omega_L, E_z_tilde_V_per_m,
-                                                    constants),
+                                quantization_volume(omega_L, E_z_tilde_V_per_m),
                                 authoritative="amplitude")
 
-    coupling = coupling_constant(electron, drive, mode, constants)
-    return ScenarioParams(constants=constants, electron=electron, drive=drive,
-                          mode=mode, coupling=coupling,
+    coupling = coupling_constant(electron, drive, mode)
+    return ScenarioParams(electron=electron, drive=drive, mode=mode,
+                          coupling=coupling,
                           dispersion_scale=dispersion_scale, exact_kn=exact_kn)
 
 
@@ -331,18 +324,16 @@ def sideband_energy(n: float, params: ScenarioParams) -> float:
     Physical dispersion; the builder-level dispersion_scale does not enter
     here.  E0 defaults to 0 when the scenario carries no center energy.
     """
-    hbar = params.constants.hbar_eV_fs
     e0 = params.electron.E0_eV or 0.0
     return (e0
-            + n * hbar * params.qubit_splitting_rad_per_fs
-            + n * n * hbar * params.coupling.omega_rec_rad_per_fs)
+            + n * _HBAR * params.qubit_splitting_rad_per_fs
+            + n * n * _HBAR * params.coupling.omega_rec_rad_per_fs)
 
 
 def transition_detuning(n: float, params: ScenarioParams) -> float:
     """delta_n = E_{n+1} - E_n - hbar*omega_L, in eV."""
-    hbar = params.constants.hbar_eV_fs
     return (sideband_energy(n + 1.0, params) - sideband_energy(n, params)
-            - hbar * params.drive.omega_L_rad_per_fs)
+            - _HBAR * params.drive.omega_L_rad_per_fs)
 
 
 def classical_grating_period(lambda_nm: float, beta: float) -> float:

@@ -36,7 +36,6 @@ class PropagatorConfig:
     sample_every_fs: float | None = None   # defaults to total_time / 200
     norm_tol: float = 1e-8
     eigen_dim_cap: int = 4000
-    entropy_subsystem: str | tuple = "electrons"
 
     def __post_init__(self):
         if self.method not in (EIGEN_ORACLE, FIXED_STEP):
@@ -71,9 +70,9 @@ class Trajectory:
         return sideband_leakage(self.populations, self.basis)
 
 
-def _sample_metrics(basis, amps: np.ndarray, entropy_subsystem):
+def _sample_metrics(basis, amps: np.ndarray):
     state = StateVector(basis, amps)
-    entropy = von_neumann_entropy(partial_trace(state, keep=entropy_subsystem))
+    entropy = von_neumann_entropy(partial_trace(state, keep="electrons"))
     return (electron_populations(state), photon_number_mean(state), entropy,
             float(np.linalg.norm(amps)))
 
@@ -165,7 +164,7 @@ def propagate(H: HermitianOperator, psi0: StateVector, total_time_fs: float,
     norms = np.empty(n_samples)
 
     def record(k: int, amps: np.ndarray):
-        p, ph, s, nrm = _sample_metrics(basis, amps, cfg.entropy_subsystem)
+        p, ph, s, nrm = _sample_metrics(basis, amps)
         pops[k], ph_mean[k], entropy[k], norms[k] = p, ph, s, nrm
         if not abs(nrm - 1.0) <= cfg.norm_tol:
             raise PropagationError(

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from feqo_lab import gates
 from feqo_lab.cli import (ConfigError, PRESETS, ScenarioConfig,
                           export_density_matrix, parse_config_text,
-                          run_experiment, run_wstate)
+                          run_experiment, run_gate, run_wstate)
 from feqo_lab.cli.config import format_config, parse_set_overrides
 from feqo_lab.cli.main import cli
 from feqo_lab.hilbert import (StateVector, basis_ket, make_basis,
@@ -179,6 +180,13 @@ class TestRunners:
         run_experiment("fig2b", out_dir=tmp_path / "json", fmt="json")
         assert not (tmp_path / "json" / "fig2b_trajectory.csv").exists()
         assert (tmp_path / "json" / "fig2b_plotdata.json").exists()
+        # an unknown format is refused before anything runs or is written
+        for run in (lambda out: run_experiment("fig2b", out_dir=out, fmt="xml"),
+                    lambda out: run_wstate(3, "analog", out_dir=out, fmt="xml"),
+                    lambda out: run_gate("iswap", out_dir=out, fmt="xml")):
+            with pytest.raises(ConfigError, match="format"):
+                run(tmp_path / "xml")
+        assert not (tmp_path / "xml").exists()
 
 
 class TestDensityExport:
@@ -250,6 +258,11 @@ class TestCliEntry:
         payload = json.loads(result.output)
         assert payload["derived"]["g_over_omega"] == pytest.approx(3.85e-4,
                                                                    rel=2e-2)
+        # the echo commands write no files, so they take no --out or --format
+        for cmd in (["params"], ["analytics", "collapse"],
+                    ["analytics", "regime"]):
+            for flag in (["--out", "x"], ["--format", "json"]):
+                assert runner.invoke(cli, cmd + flag).exit_code == 2
 
     def test_run_smith_purcell(self, tmp_path):
         runner = CliRunner()
@@ -339,6 +352,20 @@ class TestCliEntry:
         corrected = json.loads(
             (tmp_path / "fig3_rho_corrected.json").read_text())
         assert len(corrected["basis_labels"]) == 4
+        summary = json.loads((tmp_path / "fig3_summary.json").read_text())
+        assert summary["metrics"] == record.metrics
+
+    def test_wstate_digital_executes_each_gate_once(self, tmp_path,
+                                                    monkeypatch):
+        calls = []
+        propagate = gates.propagate
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return propagate(*args, **kwargs)
+        monkeypatch.setattr(gates, "propagate", counting)
+        run_wstate(4, "digital", out_dir=tmp_path, fmt="json")
+        assert len(calls) == 3
 
     def test_wstate_analog_command(self, tmp_path):
         runner = CliRunner()

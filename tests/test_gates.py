@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from feqo_lab import (CODATA2018, DomainError, ModelKind, PropagatorConfig,
-                      apply_virtual_z, basis_ket, build_dispersive_xy,
-                      coherent_state, execute, make_basis, make_scenario,
+from feqo_lab import (CODATA2018, DomainError, GateSchedule, ModelKind,
+                      PropagatorConfig, apply_virtual_z, basis_ket,
+                      build_dispersive_xy, coherent_state, default_window,
+                      execute, make_basis, make_scenario,
                       qubit_factor, qubit_window, schedule_iswap,
                       schedule_partial_iswap, schedule_rx, schedule_ry,
                       schedule_rz_composite, semiclassical_unitary,
@@ -304,6 +305,39 @@ class TestExecute:
         exc = (traj.populations * window[None, None, :]).sum(axis=(1, 2)) \
             + traj.photon_mean
         assert np.max(np.abs(exc - exc[0])) < 1e-8 * max(abs(exc[0]), 1.0)
+
+    def test_segment_states_match_prefix_runs_rz(self, fig2a_params):
+        basis = make_basis(1, default_window(4), 20)
+        g_ket = np.zeros(4, dtype=complex)
+        g_ket[list(basis.sideband_indices).index(-0.5)] = 1.0
+        psi0 = tensor_product(basis, [g_ket, coherent_state(2.0, 20)])
+        sched = schedule_rz_composite(
+            math.pi / 3, fig2a_params.coupling.g_rad_per_fs, 2.0)
+        assert_checkpoints_are_prefix_states(sched, psi0, fig2a_params)
+
+    def test_segment_states_match_prefix_runs_wstate(self, fig2b_params):
+        cp = fig2b_params.coupling
+        segs = []
+        for pair, angle in wstate_digital_sequence(4):
+            segs.extend(schedule_partial_iswap(
+                angle, cp.delta_rad_per_fs, cp.g_rad_per_fs,
+                delta_signed=cp.delta_signed_rad_per_fs, active=pair).segments)
+        basis = make_basis(4, qubit_window(), 2)
+        psi0 = basis_ket(basis, (0.5, -0.5, -0.5, -0.5), 0)
+        assert_checkpoints_are_prefix_states(
+            GateSchedule(segments=tuple(segs)), psi0, fig2b_params)
+
+
+def assert_checkpoints_are_prefix_states(sched, psi0, params):
+    """segment_states[k-1] is bitwise the final state of the k-segment prefix."""
+    full = execute(sched, psi0, params)
+    assert len(full.segment_states) == len(sched.segments)
+    assert full.final_state is full.segment_states[-1]
+    for k, state in enumerate(full.segment_states, start=1):
+        prefix = execute(GateSchedule(segments=sched.segments[:k]), psi0,
+                         params)
+        assert np.array_equal(state.amplitudes,
+                              prefix.final_state.amplitudes)
 
 
 def gates_schedule_without_vz(sched):
