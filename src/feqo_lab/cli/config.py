@@ -75,11 +75,9 @@ SCHEMA: dict[str, _Key] = {
     "drive.photon_energy_eV": _Key(_float, positive=True),
     "drive.alpha_re": _Key(_float),
     "drive.alpha_im": _Key(_float),
-    "drive.phi0_rad": _Key(_float),
     "drive.grating_period_nm": _Key(_float, positive=True),
     "drive.auto_phase_match": _Key(_bool),
     "drive.phase_match_photon_energy_eV": _Key(_float, positive=True),
-    "drive.harmonic_m": _Key(_int),
     "drive.incidence_theta_rad": _Key(_float),
     "mode.box_edge_nm": _Key(_float, positive=True),
     "mode.E_z_tilde_V_per_m": _Key(_float, positive=True),
@@ -96,8 +94,6 @@ SCHEMA: dict[str, _Key] = {
                                      "partial_iswap")),
     "gate.theta_rad": _Key(_float),
     "gate.initial": _Key(_str, choices=("g", "e")),
-    "wstate.n": _Key(_int, positive=True),
-    "wstate.mode": _Key(_str, choices=("digital", "analog")),
     "wstate.convention": _Key(_str, choices=("arccos", "arcsin")),
     "run.total_time_fs": _Key(_float, positive=True),
 }
@@ -173,8 +169,7 @@ class ScenarioConfig:
         merged: dict[str, Any] = {}
         if preset:
             for key, val in preset.items():
-                merged[key] = _lookup(key).convert(key, _render_raw(val)) \
-                    if isinstance(val, str) else _check_type(key, val)
+                merged[key] = _lookup(key).convert(key, _render_raw(val))
         if file_text is not None:
             merged.update(parse_config_text(file_text))
         if sets:
@@ -236,13 +231,11 @@ class ScenarioConfig:
             E0_eV=v.get("electron.E0_eV"),
             photon_energy_eV=v["drive.photon_energy_eV"],
             alpha=self.alpha(),
-            phi0_rad=v.get("drive.phi0_rad", 0.0),
             grating_period_nm=None if auto else v["drive.grating_period_nm"],
             phase_match_photon_energy_eV=v.get(
                 "drive.phase_match_photon_energy_eV"),
             box_edge_nm=v.get("mode.box_edge_nm"),
             E_z_tilde_V_per_m=v.get("mode.E_z_tilde_V_per_m"),
-            harmonic_m=v.get("drive.harmonic_m", 1),
             incidence_theta_rad=v.get("drive.incidence_theta_rad", 0.0),
             dispersion_scale=v.get("model.dispersion_scale", 1.0),
             exact_kn=v.get("model.exact_kn", False),
@@ -269,11 +262,6 @@ class ScenarioConfig:
             sample_every_fs=sample,
             norm_tol=self.get("propagator.norm_tol", 1e-8),
         )
-
-
-def _check_type(key: str, value):
-    rendered = _render_raw(value)
-    return _lookup(key).convert(key, rendered)
 
 
 def _render_raw(value) -> str:

@@ -130,8 +130,7 @@ def _emit(out: Path, fmt: str, record: ResultRecord,
     return record
 
 
-def export_density_matrix(state_or_rho, path, basis=None,
-                          qubit_subset=None) -> str:
+def export_density_matrix(state_or_rho, path, qubit_subset=None) -> str:
     """Write a qubit-block density matrix as JSON (real/imag + labels).
 
     Accepts a StateVector (reduced over the photon and projected onto the
@@ -404,7 +403,7 @@ def _run_fig2b(cfg: ScenarioConfig, out: Path):
     metrics = {
         "T_iswap_fs": total,
         "fidelity_post_virtual_z": result.fidelity,
-        "virtual_z_phase_rad": schedule.virtual_z_log.get(0, 0.0),
+        "virtual_z_phase_rad": schedule.segments[0].virtual_z_after[0],
         "transfer_peak_fs": peak,
         "transfer_peak_rel_dev": abs(peak - total) / total,
         "entropy_nats": result.entropy_nats,
@@ -423,7 +422,7 @@ def _run_fig3(cfg: ScenarioConfig, out: Path):
     params = cfg.to_scenario()
     basis = cfg.to_basis()
     cp = params.coupling
-    n_q = cfg.get("wstate.n", 3)
+    n_q = basis.num_electrons
     convention = cfg.get("wstate.convention", "arccos")
     plan = gates.wstate_digital_sequence(n_q, convention)
     segs = []
@@ -539,10 +538,16 @@ def _merged_config(preset: dict[str, Any], fixed: dict[str, Any],
                    overrides: dict[str, Any] | None, config_text: str | None,
                    sets: list[str] | None) -> ScenarioConfig:
     """Preset, then the entry point's fixed keys, then caller overrides,
-    then the config file text and --set pairs."""
-    return ScenarioConfig.from_sources(
+    then the config file text and --set pairs; no later source may change
+    a fixed key."""
+    cfg = ScenarioConfig.from_sources(
         preset={**preset, **fixed, **(overrides or {})},
         file_text=config_text, sets=sets)
+    for key, value in fixed.items():
+        if cfg.values[key] != value:
+            raise ConfigError(f"{key}: the entry point fixes {value!r}, the "
+                              f"config sets {cfg.values[key]!r}")
+    return cfg
 
 
 def _run(runner, cfg: ScenarioConfig, out_dir, fmt: str) -> ResultRecord:
@@ -554,9 +559,10 @@ def _run(runner, cfg: ScenarioConfig, out_dir, fmt: str) -> ResultRecord:
     return _emit(out, fmt, *runner(cfg, out))
 
 
-def _run_wstate_analog(n_qubits: int, cfg: ScenarioConfig, out: Path):
+def _run_wstate_analog(cfg: ScenarioConfig, out: Path):
     params = cfg.to_scenario()
     basis = cfg.to_basis()
+    n_qubits = basis.num_electrons
     g = params.coupling.g_rad_per_fs
     schedule = gates.wstate_tc_analog(n_qubits, g)
     total = schedule.wall_time_fs
@@ -590,11 +596,10 @@ def run_wstate(n_qubits: int, mode: str, overrides: dict[str, Any] | None = None
     if mode not in ("digital", "analog"):
         raise ConfigError(f"wstate mode must be digital or analog, not {mode!r}")
     digital = mode == "digital"
-    cfg = _merged_config(
-        PRESETS["fig3"] if digital else WSTATE_ANALOG_BASE,
-        {"wstate.n": n_qubits, "basis.num_electrons": n_qubits},
-        overrides, config_text, sets)
-    return _run(_run_fig3 if digital else partial(_run_wstate_analog, n_qubits),
+    cfg = _merged_config(PRESETS["fig3"] if digital else WSTATE_ANALOG_BASE,
+                         {"basis.num_electrons": n_qubits},
+                         overrides, config_text, sets)
+    return _run(_run_fig3 if digital else _run_wstate_analog,
                 cfg, out_dir, fmt)
 
 
@@ -604,23 +609,24 @@ def run_gate(gate_type: str, theta: float | None = None,
              config_text: str | None = None) -> ResultRecord:
     """Run a single named gate on the matching preset scenario."""
     fixed: dict[str, Any] = {"gate.type": gate_type}
+    if theta is not None and gate_type != "iswap":
+        fixed["gate.theta_rad"] = theta
     if gate_type in ("rx", "ry", "rz"):
-        if theta is not None:
-            fixed["gate.theta_rad"] = theta
-        preset, runner = "fig2a", partial(_resonant_gate_run, f"gate_{gate_type}")
+        preset = PRESETS["fig2a"]
+        runner = partial(_resonant_gate_run, f"gate_{gate_type}")
     elif gate_type in ("iswap", "partial_iswap"):
+        preset = PRESETS["fig2b"]
         if gate_type == "partial_iswap":
-            fixed["gate.theta_rad"] = theta if theta is not None else math.pi / 4
-        preset, runner = "fig2b", partial(_run_fig2b_like_gate, gate_type)
+            preset = {**preset, "gate.theta_rad": math.pi / 4}
+        runner = partial(_run_fig2b_like_gate, gate_type)
     else:
         raise ConfigError(f"unknown gate type {gate_type!r}")
-    cfg = _merged_config(PRESETS[preset], fixed, overrides, config_text, sets)
+    cfg = _merged_config(preset, fixed, overrides, config_text, sets)
     return _run(runner, cfg, out_dir, fmt)
 
 
 def _run_fig2b_like_gate(gate_type: str, cfg: ScenarioConfig, out: Path):
-    angle = math.pi / 2 if gate_type == "iswap" \
-        else cfg.get("gate.theta_rad", math.pi / 4)
+    angle = math.pi / 2 if gate_type == "iswap" else cfg.get("gate.theta_rad")
     params = cfg.to_scenario()
     schedule, _, result = _dispersive_gate(cfg, params, cfg.to_basis(), angle)
     metrics = {

@@ -53,9 +53,13 @@ def _read_config(config_path):
     return Path(config_path).read_text() if config_path else None
 
 
-def _echo_record(record):
-    click.echo(json.dumps(_jsonable(record.to_dict()), indent=2,
-                          sort_keys=True))
+def _preset_config(preset, config_path, sets):
+    return _merged_config(PRESETS[preset], {}, None,
+                          _read_config(config_path), list(sets))
+
+
+def _echo(payload):
+    click.echo(json.dumps(_jsonable(payload), indent=2, sort_keys=True))
 
 
 @click.group()
@@ -71,11 +75,9 @@ def cli():
 def params(preset, config_path, sets):
     """Echo the derived parameter pipeline for a scenario."""
     def go():
-        cfg = _merged_config(PRESETS[preset], {}, None,
-                             _read_config(config_path), list(sets))
-        payload = {"config": cfg.values,
-                   "derived": _derived_dict(cfg.to_scenario())}
-        click.echo(json.dumps(_jsonable(payload), indent=2, sort_keys=True))
+        cfg = _preset_config(preset, config_path, sets)
+        _echo({"config": cfg.values,
+               "derived": _derived_dict(cfg.to_scenario())})
     _run_guarded(go)
 
 
@@ -87,7 +89,7 @@ def run(experiment, config_path, sets, out_dir, fmt):
     record = _run_guarded(run_experiment, experiment, out_dir=out_dir, fmt=fmt,
                           config_text=_read_config(config_path),
                           sets=list(sets))
-    _echo_record(record)
+    _echo(record.to_dict())
 
 
 @cli.command()
@@ -101,7 +103,7 @@ def gate(gate_type, theta, config_path, sets, out_dir, fmt):
     record = _run_guarded(run_gate, gate_type.replace("-", "_"), theta,
                           out_dir=out_dir, fmt=fmt, sets=list(sets),
                           config_text=_read_config(config_path))
-    _echo_record(record)
+    _echo(record.to_dict())
 
 
 @cli.command()
@@ -114,7 +116,7 @@ def wstate(n_qubits, mode, config_path, sets, out_dir, fmt):
     record = _run_guarded(run_wstate, n_qubits, mode, out_dir=out_dir,
                           fmt=fmt, sets=list(sets),
                           config_text=_read_config(config_path))
-    _echo_record(record)
+    _echo(record.to_dict())
 
 
 @cli.group(name="analytics")
@@ -129,19 +131,16 @@ def analytics_group():
 def collapse(preset, config_path, sets):
     """Report collapse and revival times for a scenario."""
     def go():
-        cfg = _merged_config(PRESETS[preset], {}, None,
-                             _read_config(config_path), list(sets))
-        params_ = cfg.to_scenario()
+        cfg = _preset_config(preset, config_path, sets)
         pred = analytics.collapse_revival_times(
-            cfg.alpha(), params_.coupling.g_rad_per_fs)
-        payload = {
+            cfg.alpha(), cfg.to_scenario().coupling.g_rad_per_fs)
+        _echo({
             "alpha_abs": abs(cfg.alpha()),
             "g_rad_per_fs": pred.g_rad_per_fs,
             "t_coll_gaussian_fs": pred.t_coll_gaussian_fs,
             "t_c_adjacent_fs": pred.t_c_adjacent_fs,
             "t_rev_fs": pred.t_rev_fs,
-        }
-        click.echo(json.dumps(_jsonable(payload), indent=2, sort_keys=True))
+        })
     _run_guarded(go)
 
 
@@ -154,12 +153,9 @@ def collapse(preset, config_path, sets):
 def regime(preset, kappa, config_path, sets):
     """Classify the diffraction regime of a scenario (heuristic)."""
     def go():
-        cfg = _merged_config(PRESETS[preset], {}, None,
-                             _read_config(config_path), list(sets))
-        report = analytics.classify_regime(cfg.to_scenario(), cfg.alpha(),
-                                           kappa=kappa)
-        click.echo(json.dumps(_jsonable(report.__dict__), indent=2,
-                              sort_keys=True))
+        cfg = _preset_config(preset, config_path, sets)
+        _echo(analytics.classify_regime(cfg.to_scenario(), cfg.alpha(),
+                                        kappa=kappa).__dict__)
     _run_guarded(go)
 
 

@@ -33,7 +33,6 @@ _RESONANT_COMMON = {
     "electron.E0_eV": 100.0,
     "drive.photon_energy_eV": 6.20,
     "drive.auto_phase_match": True,
-    "drive.harmonic_m": 1,
     "basis.num_electrons": 1,
     "basis.sidebands": 6,
     "basis.fock_cutoff": "auto",
@@ -46,7 +45,6 @@ _DISPERSIVE_COMMON = {
     "electron.E0_eV": 100.0,
     "drive.auto_phase_match": True,
     "drive.phase_match_photon_energy_eV": 6.20,
-    "drive.harmonic_m": 1,
     "mode.E_z_tilde_V_per_m": 7.58e6,
     "drive.alpha_re": 0.0,
     "basis.sidebands": 2,
@@ -87,8 +85,6 @@ PRESETS: dict[str, dict] = {
         **_DISPERSIVE_COMMON,
         "drive.photon_energy_eV": CALIBRATED_DISPERSIVE_PHOTON_EV,
         "basis.num_electrons": 3,
-        "wstate.n": 3,
-        "wstate.mode": "digital",
         "wstate.convention": "arccos",
     },
     # collapse and revival in the Bragg regime, alpha = 3
@@ -114,7 +110,6 @@ PRESETS: dict[str, dict] = {
         "electron.E0_eV": 100.0,
         "drive.photon_energy_eV": 6.20,
         "drive.auto_phase_match": True,
-        "drive.harmonic_m": 1,
         "mode.box_edge_nm": 100.0,
     },
     # parameter derivation echo, defaults to the fig2a scenario
@@ -123,7 +118,6 @@ PRESETS: dict[str, dict] = {
         "electron.E0_eV": 100.0,
         "drive.photon_energy_eV": 6.20,
         "drive.auto_phase_match": True,
-        "drive.harmonic_m": 1,
         "mode.box_edge_nm": 100.0,
         "drive.alpha_re": 10.0,
     },
@@ -136,7 +130,6 @@ WSTATE_ANALOG_BASE = {
     "electron.E0_eV": 100.0,
     "drive.photon_energy_eV": 6.20,
     "drive.auto_phase_match": True,
-    "drive.harmonic_m": 1,
     "mode.box_edge_nm": 100.0,
     "basis.sidebands": 2,
     "basis.fock_cutoff": "3",

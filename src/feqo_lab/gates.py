@@ -21,11 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .analytics import leakage_fraction
 from .errors import BasisError, DomainError
 from .hamiltonian import ModelKind, build_model
 from .hilbert import (DensityOperator, StateVector, computational_block,
-                      computational_labels, electron_populations,
-                      partial_trace, sideband_leakage, uhlmann_fidelity,
+                      computational_labels, partial_trace, uhlmann_fidelity,
                       von_neumann_entropy)
 from .physpar import _HBAR, ScenarioParams
 from .propagate import PropagatorConfig, Trajectory, propagate
@@ -64,7 +64,6 @@ class ScheduleSegment:
     model_kind: ModelKind
     duration_fs: float
     drive_phase_rad: float = 0.0
-    coherent_alpha: complex = 0j
     active_electrons: tuple[int, ...] | None = None
     rotation_angle_rad: float = 0.0      # semiclassical 2g|alpha|T, bookkeeping
     virtual_z_after: dict = field(default_factory=dict)
@@ -76,18 +75,10 @@ class ScheduleSegment:
 
 @dataclass
 class GateSchedule:
-    """Ordered drive segments plus accumulated virtual frame phases."""
+    """Ordered drive segments, each with its attached virtual-Z phases."""
 
     segments: tuple[ScheduleSegment, ...]
-    virtual_z_log: dict = field(default_factory=dict)
     warnings: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        log: dict[int, float] = dict(self.virtual_z_log)
-        for seg in self.segments:
-            for q, phi in seg.virtual_z_after.items():
-                log[q] = log.get(q, 0.0) + phi
-        self.virtual_z_log = log
 
     @property
     def wall_time_fs(self) -> float:
@@ -115,7 +106,6 @@ class GateResult(StateScore):
     final_state: StateVector
     wall_time_fs: float
     trajectories: list[Trajectory] = field(default_factory=list)
-    virtual_z_log: dict = field(default_factory=dict)
     segment_states: list[StateVector] = field(default_factory=list)
 
 
@@ -123,13 +113,13 @@ def _rot_segment(angle: float, base_phase: float, g: float, alpha: complex,
                  model: ModelKind) -> ScheduleSegment:
     if angle == 0:
         return ScheduleSegment(model_kind=model, duration_fs=0.0,
-                               drive_phase_rad=base_phase, coherent_alpha=alpha)
+                               drive_phase_rad=base_phase)
     if g <= 0 or abs(alpha) == 0:
         raise DomainError("rotation segments need g > 0 and |alpha| > 0")
     duration = abs(angle) / (2.0 * g * abs(alpha))
     phase = base_phase + (math.pi if angle < 0 else 0.0)
     return ScheduleSegment(model_kind=model, duration_fs=duration,
-                           drive_phase_rad=phase, coherent_alpha=alpha,
+                           drive_phase_rad=phase,
                            rotation_angle_rad=abs(angle))
 
 
@@ -197,7 +187,7 @@ def schedule_partial_iswap(rotation_angle: float, delta: float, g: float, *,
     # Lamb-shift frame correction, applied at the segment boundary
     vz = {q: -J_signed * duration / 2.0 for q in active}
     seg = ScheduleSegment(model_kind=ModelKind.TC_LAB, duration_fs=duration,
-                          coherent_alpha=0j, active_electrons=tuple(active),
+                          active_electrons=tuple(active),
                           rotation_angle_rad=rotation_angle,
                           virtual_z_after=vz)
     return GateSchedule(segments=(seg,), warnings=tuple(notes))
@@ -235,8 +225,7 @@ def wstate_tc_analog(n_qubits: int, g: float) -> GateSchedule:
         raise DomainError("need g > 0")
     duration = math.pi / (2.0 * g * math.sqrt(n_qubits))
     return GateSchedule(segments=(ScheduleSegment(
-        model_kind=ModelKind.TC_LAB, duration_fs=duration,
-        coherent_alpha=0j),))
+        model_kind=ModelKind.TC_LAB, duration_fs=duration),))
 
 
 def apply_virtual_z(state: StateVector, phis: dict[int, float]) -> StateVector:
@@ -278,19 +267,16 @@ def semiclassical_unitary(schedule: GateSchedule) -> np.ndarray:
 def execute(schedule: GateSchedule, initial_state: StateVector,
             params: ScenarioParams, *, model: ModelKind | None = None,
             ideal_target: np.ndarray | DensityOperator | None = None,
-            config: PropagatorConfig | None = None,
-            interaction_frame: bool = True,
-            extra_virtual_z: dict[int, float] | None = None) -> GateResult:
+            config: PropagatorConfig | None = None) -> GateResult:
     """Chain the schedule's segments on one model and score the outcome.
 
     The state lab-evolves through each segment; relative drive phases enter
     as photon-frame rotations at segment starts and each segment's attached
-    virtual-Z phases fold in at its boundary.  With interaction_frame=True
-    the accumulated free-evolution phases exp(+i sum_k diag(H_k) T_k / hbar)
-    are removed before scoring, so fidelities compare against interaction-
-    picture targets.  The state after each segment is kept in that frame as
-    segment_states; the last one, with extra_virtual_z applied, is the final
-    state that score_state scores against ideal_target.
+    virtual-Z phases fold in at its boundary.  The accumulated free-evolution
+    phases exp(+i sum_k diag(H_k) T_k / hbar) are removed before scoring, so
+    fidelities compare against interaction-picture targets.  The state after
+    each segment is kept in that frame as segment_states; the last one is the
+    final state that score_state scores against ideal_target.
     """
     basis = initial_state.basis
     amps = initial_state.amplitudes.copy()
@@ -317,20 +303,12 @@ def execute(schedule: GateSchedule, initial_state: StateVector,
             amps = apply_virtual_z(StateVector(basis, amps),
                                    seg.virtual_z_after).amplitudes
         segment_states.append(StateVector(
-            basis, np.exp(1j * diag_accum / _HBAR) * amps
-            if interaction_frame else amps))
+            basis, np.exp(1j * diag_accum / _HBAR) * amps))
 
     final = segment_states[-1] if segment_states else StateVector(basis, amps)
-    vz_log = dict(schedule.virtual_z_log)
-    if extra_virtual_z:
-        final = apply_virtual_z(final, extra_virtual_z)
-        for q, phi in extra_virtual_z.items():
-            vz_log[q] = vz_log.get(q, 0.0) + phi
-
     return GateResult(**vars(score_state(final, ideal_target)),
                       final_state=final, wall_time_fs=schedule.wall_time_fs,
-                      trajectories=trajectories, virtual_z_log=vz_log,
-                      segment_states=segment_states)
+                      trajectories=trajectories, segment_states=segment_states)
 
 
 def score_state(state: StateVector,
@@ -344,7 +322,6 @@ def score_state(state: StateVector,
     block = computational_block(rho_e, basis)
     reduced = DensityOperator(block, labels=computational_labels(
         basis.num_electrons), subsystem="qubits")
-    leak = float(sideband_leakage(electron_populations(state), basis))
     fidelity = None
     if ideal_target is not None:
         target = (ideal_target.matrix if isinstance(ideal_target, DensityOperator)
@@ -353,4 +330,4 @@ def score_state(state: StateVector,
             target = np.outer(target, target.conj())
         fidelity = uhlmann_fidelity(block, target)
     return StateScore(reduced, fidelity, von_neumann_entropy(rho_e),
-                      max(leak, 0.0))
+                      leakage_fraction(state))

@@ -8,7 +8,7 @@ rad/fs, lengths in nm.  SI values appear only at input/output boundaries
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DomainError, GratingError
 
@@ -119,11 +119,9 @@ class DriveParams:
     omega_L_rad_per_fs: float
     photon_energy_eV: float
     wavelength_nm: float
-    phi0_rad: float
     alpha: complex
     grating_period_nm: float
     incidence_theta_rad: float
-    harmonic_m: int
 
     @property
     def q_per_nm(self) -> float:
@@ -242,7 +240,6 @@ class ScenarioParams:
     coupling: DerivedCoupling
     dispersion_scale: float = 1.0
     exact_kn: bool = False
-    meta: dict = field(default_factory=dict)
 
     @property
     def qubit_splitting_rad_per_fs(self) -> float:
@@ -252,13 +249,12 @@ class ScenarioParams:
 
 def make_scenario(*, beta: float, photon_energy_eV: float,
                   E0_eV: float | None = None,
-                  alpha: complex = 0j, phi0_rad: float = 0.0,
+                  alpha: complex = 0j,
                   grating_period_nm: float | None = None,
                   phase_match_photon_energy_eV: float | None = None,
                   box_edge_nm: float | None = None,
                   box_volume_m3: float | None = None,
                   E_z_tilde_V_per_m: float | None = None,
-                  harmonic_m: int = 1,
                   incidence_theta_rad: float = 0.0,
                   dispersion_scale: float = 1.0,
                   exact_kn: bool = False) -> ScenarioParams:
@@ -286,11 +282,9 @@ def make_scenario(*, beta: float, photon_energy_eV: float,
         omega_L_rad_per_fs=omega_L,
         photon_energy_eV=photon_energy_eV,
         wavelength_nm=wavelength_nm(omega_L),
-        phi0_rad=phi0_rad,
         alpha=complex(alpha),
         grating_period_nm=grating_period_nm,
         incidence_theta_rad=incidence_theta_rad,
-        harmonic_m=harmonic_m,
     )
 
     given = [v is not None for v in (box_edge_nm, box_volume_m3, E_z_tilde_V_per_m)]

@@ -45,8 +45,13 @@ class TestConfigGrammar:
         assert cfg["basis.sidebands"] == 6
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError, match="drive.unknown_thing"):
-            parse_config_text("drive.unknown_thing = 3")
+        # the last four had no effect on any run, so they are not keys
+        for key, value in (("drive.unknown_thing", "3"),
+                           ("drive.phi0_rad", "1.0"),
+                           ("drive.harmonic_m", "2"), ("wstate.n", "4"),
+                           ("wstate.mode", "analog")):
+            with pytest.raises(ConfigError, match=key):
+                parse_config_text(f"{key} = {value}")
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
@@ -187,6 +192,42 @@ class TestRunners:
             with pytest.raises(ConfigError, match="format"):
                 run(tmp_path / "xml")
         assert not (tmp_path / "xml").exists()
+
+    def test_register_size_conflict(self, tmp_path):
+        # the register size comes from run_wstate's argument alone
+        for mode in ("analog", "digital"):
+            with pytest.raises(ConfigError,
+                               match=r"basis.num_electrons\b.*3.*4"):
+                run_wstate(3, mode, out_dir=tmp_path,
+                           sets=["basis.num_electrons=4"])
+            with pytest.raises(ConfigError, match="basis.num_electrons"):
+                run_wstate(3, mode, out_dir=tmp_path,
+                           overrides={"basis.num_electrons": 2})
+        assert not any(tmp_path.iterdir())
+
+    def test_gate_argument_conflict(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"gate.type\b.*'rx'.*'ry'"):
+            run_gate("rx", out_dir=tmp_path, sets=["gate.type=ry"])
+        with pytest.raises(ConfigError, match=r"gate.theta_rad\b.*1.5.*1.0"):
+            run_gate("rx", 1.5, out_dir=tmp_path,
+                     config_text="gate.theta_rad = 1.0")
+        with pytest.raises(ConfigError, match="gate.theta_rad"):
+            run_gate("partial_iswap", 0.5, out_dir=tmp_path,
+                     sets=["gate.theta_rad=0.3"])
+        assert not any(tmp_path.iterdir())
+        result = CliRunner().invoke(cli, ["gate", "rx", "--out",
+                                          str(tmp_path), "--set",
+                                          "gate.type=rz"])
+        assert result.exit_code == 2
+
+    def test_partial_iswap_angle_from_set(self, tmp_path):
+        # pi/4 is a preset default, so --set may change it
+        default = run_gate("partial_iswap", out_dir=tmp_path / "a", fmt="json")
+        assert default.config["gate.theta_rad"] == pytest.approx(math.pi / 4)
+        record = run_gate("partial_iswap", out_dir=tmp_path / "b", fmt="json",
+                          sets=["gate.theta_rad=0.3"])
+        assert record.config["gate.theta_rad"] == 0.3
+        assert record.metrics["rotation_angle_rad"] == 0.3
 
 
 class TestDensityExport:

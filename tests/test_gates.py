@@ -269,8 +269,7 @@ class TestExecute:
         # run the same XY model; its lab evolution has no extra diagonal
         res = execute(
             gates_schedule_without_vz(seg_sched), psi0, fig2b_params,
-            model=ModelKind.DISPERSIVE_XY, ideal_target=ideal,
-            interaction_frame=False)
+            model=ModelKind.DISPERSIVE_XY, ideal_target=ideal)
         assert res.fidelity >= 1.0 - 1e-9
 
     def test_ry_inverse_composition_full_model(self, fig2a_params):
