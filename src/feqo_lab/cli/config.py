@@ -96,9 +96,15 @@ SCHEMA: dict[str, _Key] = {
     "gate.initial": _Key(_str, choices=("g", "e")),
     "wstate.convention": _Key(_str, choices=("arccos", "arcsin")),
     "run.total_time_fs": _Key(_float, positive=True),
+    "initial.theta_1_rad": _Key(_float),
+    "initial.theta_2_rad": _Key(_float),
 }
 
-_THETA_PATTERN = re.compile(r"^initial\.theta_(\d+)_rad$")
+# the keys to_scenario reads, then those with to_basis' and to_propagator's
+SCENARIO_KEYS = frozenset(key for key in SCHEMA if key.startswith(
+    ("electron.", "drive.", "mode.", "model.")))
+DYNAMIC_KEYS = SCENARIO_KEYS | {key for key in SCHEMA
+                                if key.startswith(("basis.", "propagator."))}
 
 _LINE = re.compile(r"^\s*([A-Za-z0-9_.]+)\s*=\s*(.*?)\s*$")
 
@@ -106,8 +112,6 @@ _LINE = re.compile(r"^\s*([A-Za-z0-9_.]+)\s*=\s*(.*?)\s*$")
 def _lookup(key: str) -> _Key:
     if key in SCHEMA:
         return SCHEMA[key]
-    if _THETA_PATTERN.match(key):
-        return _Key(_float)
     raise ConfigError(f"unknown configuration key: {key}")
 
 
@@ -143,17 +147,8 @@ def parse_set_overrides(pairs: list[str]) -> dict[str, Any]:
 
 def format_config(cfg: dict[str, Any]) -> str:
     """Render a config dict back to the file grammar (stable key order)."""
-    lines = []
-    for key in sorted(cfg):
-        value = cfg[key]
-        if isinstance(value, bool):
-            rendered = "true" if value else "false"
-        elif isinstance(value, float):
-            rendered = repr(value)
-        else:
-            rendered = str(value)
-        lines.append(f"{key} = {rendered}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(f"{key} = {_render_raw(cfg[key])}"
+                     for key in sorted(cfg)) + "\n"
 
 
 @dataclass
@@ -182,8 +177,6 @@ class ScenarioConfig:
         return self.values.get(key, default)
 
     def validate(self):
-        for key in self.values:
-            _lookup(key)
         if "electron.beta" not in self.values:
             raise ConfigError("electron.beta is required")
         beta = self.values["electron.beta"]

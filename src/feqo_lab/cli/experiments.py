@@ -23,13 +23,18 @@ from ..hilbert import StateVector
 from ..propagate import PropagatorConfig, Trajectory
 from ..propagate import propagate as propagate_state
 from ..propagate import propagate_eigen
-from .config import ConfigError, ScenarioConfig
+from .config import DYNAMIC_KEYS, SCENARIO_KEYS, ConfigError, ScenarioConfig
 from .presets import PRESETS, WSTATE_ANALOG_BASE
 
 __all__ = ["ResultRecord", "run_experiment", "run_wstate", "run_gate",
            "export_density_matrix", "available_experiments"]
 
 CSV_DIGITS = 9
+
+# keys read beyond DYNAMIC_KEYS: resonant gates, register gates, s1/s2
+_RESONANT_KEYS = DYNAMIC_KEYS | {"gate.type", "gate.theta_rad", "gate.initial"}
+_REGISTER_KEYS = DYNAMIC_KEYS | {"initial.theta_1_rad", "initial.theta_2_rad"}
+_RUN_TIME_KEYS = DYNAMIC_KEYS | {"gate.initial", "run.total_time_fs"}
 
 
 @dataclass
@@ -272,17 +277,21 @@ def _resonant_gate_run(name: str, cfg: ScenarioConfig, out: Path):
     basis = cfg.to_basis()
     alpha = cfg.alpha()
     g = params.coupling.g_rad_per_fs
-    theta = cfg.get("gate.theta_rad", math.pi)
+    theta = cfg.values["gate.theta_rad"]
 
-    gate_type = cfg.get("gate.type", "rx")
-    factory = {"rx": gates.schedule_rx, "ry": gates.schedule_ry,
-               "rz": gates.schedule_rz_composite}[gate_type]
-    schedule = factory(theta, g, alpha)
+    gate_type = cfg.values["gate.type"]
+    factories = {"rx": gates.schedule_rx, "ry": gates.schedule_ry,
+                 "rz": gates.schedule_rz_composite}
+    if gate_type not in factories:
+        raise ConfigError(f"gate.type {gate_type!r}: {name} runs rx, ry or rz")
+    schedule = factories[gate_type](theta, g, alpha)
     total = schedule.wall_time_fs
+    if total == 0:
+        raise DomainError(f"{name}: {gate_type}({theta}) takes no time")
     prop = cfg.to_propagator(total)
 
     photon = hilbert.coherent_state(alpha, basis.fock_cutoff)
-    init_label = cfg.get("gate.initial", "g")
+    init_label = cfg.values["gate.initial"]
     psi0, psi0_jc = _with_jc_reference(basis, init_label, photon)
 
     # semiclassical 2x2 target in the (e, g) ordering
@@ -343,24 +352,6 @@ def _xy_ideal_states(params, qubit_factors: list[np.ndarray], plan
     return out
 
 
-def _register_initial(basis, thetas: dict[int, float]) -> StateVector:
-    # unspecified qubits idle in |g> (theta = pi in the cos/sin convention)
-    factors = [hilbert.qubit_factor(thetas.get(q, math.pi),
-                                    basis.sideband_indices)
-               for q in range(basis.num_electrons)]
-    factors.append(hilbert.fock_ket(0, basis.fock_cutoff))
-    return hilbert.tensor_product(basis, factors)
-
-
-def _initial_thetas(cfg: ScenarioConfig) -> dict[int, float]:
-    thetas = {}
-    for key, value in cfg.values.items():
-        if key.startswith("initial.theta_"):
-            k = int(key.split("_")[1])
-            thetas[k - 1] = float(value)
-    return thetas
-
-
 def _dispersive_gate(cfg: ScenarioConfig, params, basis, angle: float):
     """Partial iSWAP(angle) on the configured two-qubit register, scored
     against the exact XY evolution of the same initial qubits.
@@ -372,9 +363,12 @@ def _dispersive_gate(cfg: ScenarioConfig, params, basis, angle: float):
         angle, cp.delta_rad_per_fs, cp.g_rad_per_fs,
         delta_signed=cp.delta_signed_rad_per_fs)
     prop = cfg.to_propagator(schedule.wall_time_fs)
-    thetas = _initial_thetas(cfg)
-    psi0 = _register_initial(basis, thetas)
-    qfactors = [hilbert.qubit_factor(thetas.get(q, math.pi)) for q in range(2)]
+    thetas = (cfg.values["initial.theta_1_rad"],
+              cfg.values["initial.theta_2_rad"])
+    psi0 = hilbert.tensor_product(basis, [
+        *(hilbert.qubit_factor(t, basis.sideband_indices) for t in thetas),
+        hilbert.fock_ket(0, basis.fock_cutoff)])
+    qfactors = [hilbert.qubit_factor(t) for t in thetas]
     ideal = _xy_ideal_states(params, qfactors, [((0, 1), angle)])[-1]
     result = gates.execute(schedule, psi0, params, ideal_target=ideal,
                            config=prop)
@@ -423,7 +417,7 @@ def _run_fig3(cfg: ScenarioConfig, out: Path):
     basis = cfg.to_basis()
     cp = params.coupling
     n_q = basis.num_electrons
-    convention = cfg.get("wstate.convention", "arccos")
+    convention = cfg.values["wstate.convention"]
     plan = gates.wstate_digital_sequence(n_q, convention)
     segs = []
     for pair, angle in plan:
@@ -484,11 +478,9 @@ def _run_collapse_revival(name: str, cfg: ScenarioConfig, out: Path):
     basis = cfg.to_basis()
     alpha = cfg.alpha()
     g = params.coupling.g_rad_per_fs
-    total = cfg.get("run.total_time_fs")
-    if total is None:
-        raise ConfigError("run.total_time_fs is required for this experiment")
+    total = cfg.values["run.total_time_fs"]
     prop = cfg.to_propagator(total)
-    init_label = cfg.get("gate.initial", "e")
+    init_label = cfg.values["gate.initial"]
 
     photon = hilbert.coherent_state(alpha, basis.fock_cutoff)
     psi0, psi0_jc = _with_jc_reference(basis, init_label, photon)
@@ -534,15 +526,19 @@ def _run_collapse_revival(name: str, cfg: ScenarioConfig, out: Path):
             (f"{name}: collapse and revival", traj.times_fs, series_plots))
 
 
-def _merged_config(preset: dict[str, Any], fixed: dict[str, Any],
-                   overrides: dict[str, Any] | None, config_text: str | None,
-                   sets: list[str] | None) -> ScenarioConfig:
+def _merged_config(preset: dict[str, Any], read: frozenset[str],
+                   fixed: dict[str, Any], overrides: dict[str, Any] | None,
+                   config_text: str | None, sets: list[str] | None
+                   ) -> ScenarioConfig:
     """Preset, then the entry point's fixed keys, then caller overrides,
-    then the config file text and --set pairs; no later source may change
-    a fixed key."""
+    then the config file text and --set pairs; every merged key must be one
+    the run reads, and no later source may change a fixed key."""
     cfg = ScenarioConfig.from_sources(
         preset={**preset, **fixed, **(overrides or {})},
         file_text=config_text, sets=sets)
+    unread = sorted(cfg.values.keys() - read)
+    if unread:
+        raise ConfigError(f"this run does not read {', '.join(unread)}")
     for key, value in fixed.items():
         if cfg.values[key] != value:
             raise ConfigError(f"{key}: the entry point fixes {value!r}, the "
@@ -593,14 +589,16 @@ def run_wstate(n_qubits: int, mode: str, overrides: dict[str, Any] | None = None
                out_dir=".", fmt: str = "both", sets: list[str] | None = None,
                config_text: str | None = None) -> ResultRecord:
     """Analog (resonant TC) or digital (partial-iSWAP) W-state preparation."""
-    if mode not in ("digital", "analog"):
+    if mode == "digital":
+        preset, (runner, read) = PRESETS["fig3"], _RUNNERS["fig3"]
+    elif mode == "analog":
+        preset, runner, read = (WSTATE_ANALOG_BASE, _run_wstate_analog,
+                                DYNAMIC_KEYS)
+    else:
         raise ConfigError(f"wstate mode must be digital or analog, not {mode!r}")
-    digital = mode == "digital"
-    cfg = _merged_config(PRESETS["fig3"] if digital else WSTATE_ANALOG_BASE,
-                         {"basis.num_electrons": n_qubits},
+    cfg = _merged_config(preset, read, {"basis.num_electrons": n_qubits},
                          overrides, config_text, sets)
-    return _run(_run_fig3 if digital else _run_wstate_analog,
-                cfg, out_dir, fmt)
+    return _run(runner, cfg, out_dir, fmt)
 
 
 def run_gate(gate_type: str, theta: float | None = None,
@@ -609,24 +607,27 @@ def run_gate(gate_type: str, theta: float | None = None,
              config_text: str | None = None) -> ResultRecord:
     """Run a single named gate on the matching preset scenario."""
     fixed: dict[str, Any] = {"gate.type": gate_type}
-    if theta is not None and gate_type != "iswap":
+    if theta is not None:
         fixed["gate.theta_rad"] = theta
     if gate_type in ("rx", "ry", "rz"):
-        preset = PRESETS["fig2a"]
+        preset, read = PRESETS["fig2a"], _RESONANT_KEYS
         runner = partial(_resonant_gate_run, f"gate_{gate_type}")
     elif gate_type in ("iswap", "partial_iswap"):
-        preset = PRESETS["fig2b"]
+        preset, read = PRESETS["fig2b"], _REGISTER_KEYS | {"gate.type"}
         if gate_type == "partial_iswap":
             preset = {**preset, "gate.theta_rad": math.pi / 4}
-        runner = partial(_run_fig2b_like_gate, gate_type)
+            read |= {"gate.theta_rad"}
+        runner = _run_fig2b_like_gate
     else:
         raise ConfigError(f"unknown gate type {gate_type!r}")
-    cfg = _merged_config(preset, fixed, overrides, config_text, sets)
+    cfg = _merged_config(preset, read, fixed, overrides, config_text, sets)
     return _run(runner, cfg, out_dir, fmt)
 
 
-def _run_fig2b_like_gate(gate_type: str, cfg: ScenarioConfig, out: Path):
-    angle = math.pi / 2 if gate_type == "iswap" else cfg.get("gate.theta_rad")
+def _run_fig2b_like_gate(cfg: ScenarioConfig, out: Path):
+    gate_type = cfg.values["gate.type"]
+    angle = (math.pi / 2 if gate_type == "iswap"
+             else cfg.values["gate.theta_rad"])
     params = cfg.to_scenario()
     schedule, _, result = _dispersive_gate(cfg, params, cfg.to_basis(), angle)
     metrics = {
@@ -642,15 +643,18 @@ def _run_fig2b_like_gate(gate_type: str, cfg: ScenarioConfig, out: Path):
     return record, {"": trajs[-1]} if trajs else {}, None
 
 
+# experiment -> (runner, the keys it reads)
 _RUNNERS = {
-    "params_only": _run_params_only,
-    "smith_purcell": _run_smith_purcell,
-    "fig2a": partial(_resonant_gate_run, "fig2a"),
-    "fig2a_strong": partial(_resonant_gate_run, "fig2a_strong"),
-    "fig2b": _run_fig2b,
-    "fig3": _run_fig3,
-    "s1_bragg": partial(_run_collapse_revival, "s1_bragg"),
-    "s2_ramannath": partial(_run_collapse_revival, "s2_ramannath"),
+    "params_only": (_run_params_only, SCENARIO_KEYS),
+    "smith_purcell": (_run_smith_purcell, SCENARIO_KEYS),
+    "fig2a": (partial(_resonant_gate_run, "fig2a"), _RESONANT_KEYS),
+    "fig2a_strong": (partial(_resonant_gate_run, "fig2a_strong"),
+                     _RESONANT_KEYS),
+    "fig2b": (_run_fig2b, _REGISTER_KEYS),
+    "fig3": (_run_fig3, DYNAMIC_KEYS | {"wstate.convention"}),
+    "s1_bragg": (partial(_run_collapse_revival, "s1_bragg"), _RUN_TIME_KEYS),
+    "s2_ramannath": (partial(_run_collapse_revival, "s2_ramannath"),
+                     _RUN_TIME_KEYS),
 }
 
 
@@ -662,5 +666,6 @@ def run_experiment(name: str, overrides: dict[str, Any] | None = None,
     if name not in _RUNNERS:
         raise ConfigError(f"unknown experiment {name!r}; available: "
                           f"{', '.join(sorted(_RUNNERS))}")
-    cfg = _merged_config(PRESETS[name], {}, overrides, config_text, sets)
-    return _run(_RUNNERS[name], cfg, out_dir, fmt)
+    runner, read = _RUNNERS[name]
+    cfg = _merged_config(PRESETS[name], read, {}, overrides, config_text, sets)
+    return _run(runner, cfg, out_dir, fmt)

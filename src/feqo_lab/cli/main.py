@@ -14,7 +14,7 @@ import click
 from ..errors import (BasisError, DomainError, PropagationError,
                       TruncationError)
 from .. import analytics
-from .config import ConfigError, format_config
+from .config import SCENARIO_KEYS, ConfigError, format_config
 from .experiments import (_derived_dict, _jsonable, _merged_config,
                           available_experiments, run_experiment, run_gate,
                           run_wstate)
@@ -54,7 +54,8 @@ def _read_config(config_path):
 
 
 def _preset_config(preset, config_path, sets):
-    return _merged_config(PRESETS[preset], {}, None,
+    scenario = {k: v for k, v in PRESETS[preset].items() if k in SCENARIO_KEYS}
+    return _merged_config(scenario, SCENARIO_KEYS, {}, None,
                           _read_config(config_path), list(sets))
 
 
@@ -96,7 +97,7 @@ def run(experiment, config_path, sets, out_dir, fmt):
 @click.argument("gate_type", type=click.Choice(["rx", "ry", "rz", "iswap",
                                                 "partial-iswap"]))
 @click.option("--theta", type=float, default=None,
-              help="Rotation angle in rad (defaults per gate).")
+              help="Rotation angle in rad; rx, ry, rz and partial-iswap only.")
 @_common_options
 def gate(gate_type, theta, config_path, sets, out_dir, fmt):
     """Schedule and execute a single gate on its preset scenario."""

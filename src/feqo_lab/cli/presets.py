@@ -76,7 +76,6 @@ PRESETS: dict[str, dict] = {
         **_DISPERSIVE_COMMON,
         "drive.photon_energy_eV": 6.24,
         "basis.num_electrons": 2,
-        "gate.type": "iswap",
         "initial.theta_1_rad": 1.0471975511965976,   # pi/3
         "initial.theta_2_rad": 2.8797932657906435,   # 11*pi/12
     },

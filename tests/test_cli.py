@@ -7,11 +7,13 @@ import pytest
 from click.testing import CliRunner
 
 from feqo_lab import gates
-from feqo_lab.cli import (ConfigError, PRESETS, ScenarioConfig,
+from feqo_lab.cli import (ConfigError, PRESETS, ScenarioConfig, experiments,
                           export_density_matrix, parse_config_text,
                           run_experiment, run_gate, run_wstate)
-from feqo_lab.cli.config import format_config, parse_set_overrides
+from feqo_lab.cli.config import (DYNAMIC_KEYS, SCENARIO_KEYS, format_config,
+                                 parse_set_overrides)
 from feqo_lab.cli.main import cli
+from feqo_lab.errors import DomainError
 from feqo_lab.hilbert import (StateVector, basis_ket, make_basis,
                               partial_trace, qubit_window)
 
@@ -24,6 +26,31 @@ UNITLESS_KEYS = {
     "egg", "geg", "gge", "rotation_angle_rad", "virtual_z_phase_rad",
     "virtual_rz_on_qubit2_rad", "alpha_abs", "photon_mean_final",
 }
+# a coherent amplitude that keeps the resonant runs small; the keys a run
+# reads do not depend on the values
+SMALL_RESONANT = ["drive.alpha_re=3.0"]
+
+
+class _RecordingDict(dict):
+    """A config dict that records every key looked up in it."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.seen = set()
+
+    def __getitem__(self, key):
+        self.seen.add(key)
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.seen.add(key)
+        return super().__contains__(key)
+
+    def get(self, key, default=None):
+        self.seen.add(key)
+        return super().get(key, default)
+
+
 UNIT_SUFFIXES = ("_fs", "_eV", "_nm", "_V_per_m", "_rad_per_fs", "_rad",
                  "_m_per_s", "_per_m", "_per_nm", "_m3", "_kg_m_per_s",
                  "_nats", "_re", "_im", "_rad_per_fs")
@@ -45,11 +72,13 @@ class TestConfigGrammar:
         assert cfg["basis.sidebands"] == 6
 
     def test_unknown_key_rejected(self):
-        # the last four had no effect on any run, so they are not keys
+        # the next four had no effect on any run, so they are not keys; no
+        # run reads a third register angle
         for key, value in (("drive.unknown_thing", "3"),
                            ("drive.phi0_rad", "1.0"),
                            ("drive.harmonic_m", "2"), ("wstate.n", "4"),
-                           ("wstate.mode", "analog")):
+                           ("wstate.mode", "analog"),
+                           ("initial.theta_3_rad", "0.5")):
             with pytest.raises(ConfigError, match=key):
                 parse_config_text(f"{key} = {value}")
 
@@ -214,11 +243,71 @@ class TestRunners:
         with pytest.raises(ConfigError, match="gate.theta_rad"):
             run_gate("partial_iswap", 0.5, out_dir=tmp_path,
                      sets=["gate.theta_rad=0.3"])
+        # iswap takes no angle, and runs that read no gate key take none
+        with pytest.raises(ConfigError, match="does not read gate.theta_rad"):
+            run_gate("iswap", 1.0, out_dir=tmp_path)
+        with pytest.raises(ConfigError, match="does not read gate.theta_rad"):
+            run_wstate(3, "analog", out_dir=tmp_path,
+                       sets=["gate.theta_rad=0.3"])
         assert not any(tmp_path.iterdir())
-        result = CliRunner().invoke(cli, ["gate", "rx", "--out",
+        for args, key in ((["gate", "rx", "--set", "gate.type=rz"],
+                           "gate.type"),
+                          (["gate", "iswap", "--theta", "1.0"],
+                           "gate.theta_rad"),
+                          (["run", "fig2b", "--set", "gate.type=rx"],
+                           "gate.type")):
+            result = CliRunner().invoke(cli, args + ["--out", str(tmp_path)])
+            assert result.exit_code == 2, args
+            assert key in result.output, args
+        assert not any(tmp_path.iterdir())
+
+    def test_each_run_reads_every_key_it_accepts(self, tmp_path, monkeypatch):
+        # each entry point's read set equals the keys its runner looks up,
+        # and its preset holds no key outside that set
+        merged = experiments._merged_config
+        calls = []
+
+        def recording(preset, read, *args):
+            cfg = merged(preset, read, *args)
+            cfg.values = _RecordingDict(cfg.values)
+            calls.append((preset, read, cfg.values))
+            return cfg
+        monkeypatch.setattr(experiments, "_merged_config", recording)
+        resonant = ("fig2a", "fig2a_strong", "rx", "ry", "rz")
+        runs = [(run_experiment, name) for name in PRESETS]
+        runs += [(run_gate, gate) for gate in ("rx", "ry", "rz", "iswap",
+                                               "partial_iswap")]
+        runs += [(run_wstate, 3, "analog"), (run_wstate, 3, "digital")]
+        seen = {}
+        for k, (run, *args) in enumerate(runs):
+            sets = SMALL_RESONANT if args[0] in resonant else []
+            run(*args, out_dir=tmp_path / str(k), fmt="json", sets=sets)
+            preset, read, values = calls[-1]
+            assert values.seen == read, args
+            assert preset.keys() <= read, args
+            seen[tuple(args)] = values.seen
+        assert len(calls) == len(runs)
+        assert seen[("params_only",)] == seen[("smith_purcell",)] \
+            == SCENARIO_KEYS
+        assert seen[(3, "analog")] == DYNAMIC_KEYS
+        assert seen[("iswap",)] == seen[("partial_iswap",)] - {"gate.theta_rad"}
+
+    def test_zero_angle_resonant_gate_refused(self, tmp_path):
+        # a zero-angle pulse has no duration, so nothing is propagated
+        with pytest.raises(DomainError, match="takes no time"):
+            run_gate("rx", 0.0, out_dir=tmp_path)
+        result = CliRunner().invoke(cli, ["run", "fig2a", "--out",
                                           str(tmp_path), "--set",
-                                          "gate.type=rz"])
-        assert result.exit_code == 2
+                                          "gate.theta_rad=0"])
+        assert result.exit_code == 2, result.output
+        assert not any(tmp_path.iterdir())
+        # the composite rz and the partial iSWAP still take time or need none
+        rz = run_gate("rz", 0.0, out_dir=tmp_path / "rz", fmt="json",
+                      sets=SMALL_RESONANT)
+        assert rz.metrics["duration_fs"] > 0
+        swap = run_gate("partial_iswap", 0.0, out_dir=tmp_path / "swap",
+                        fmt="json")
+        assert swap.metrics["duration_fs"] == 0
 
     def test_partial_iswap_angle_from_set(self, tmp_path):
         # pi/4 is a preset default, so --set may change it
@@ -341,6 +430,14 @@ class TestCliEntry:
         result = runner.invoke(cli, ["run", "smith_purcell", "--out",
                                      str(tmp_path), "--set", "bogus.key=1"])
         assert result.exit_code == 2
+
+    def test_resonant_run_refuses_dispersive_gate_type(self, tmp_path):
+        result = CliRunner().invoke(cli, ["run", "fig2a", "--out",
+                                          str(tmp_path), "--set",
+                                          "gate.type=iswap"])
+        assert result.exit_code == 2, result.output
+        assert "rx, ry or rz" in result.output
+        assert not any(tmp_path.iterdir())
 
     def test_bad_value_exit_code(self, tmp_path):
         runner = CliRunner()
