@@ -352,12 +352,24 @@ def _xy_ideal_states(params, qubit_factors: list[np.ndarray], plan
     return out
 
 
+def _detuned_scenario(cfg: ScenarioConfig) -> physpar.ScenarioParams:
+    """Scenario of a dispersive run, which needs a detuned drive."""
+    params = cfg.to_scenario()
+    if params.coupling.J_rad_per_fs is None:
+        raise ConfigError("drive.photon_energy_eV: the dispersive gates need "
+                          "a drive detuned from the qubit transition")
+    return params
+
+
 def _dispersive_gate(cfg: ScenarioConfig, params, basis, angle: float):
     """Partial iSWAP(angle) on the configured two-qubit register, scored
     against the exact XY evolution of the same initial qubits.
 
     Returns (schedule, propagator config, GateResult).
     """
+    if basis.num_electrons != 2:
+        raise ConfigError(f"basis.num_electrons: the iSWAP gates act on 2 "
+                          f"electrons, not {basis.num_electrons}")
     cp = params.coupling
     schedule = gates.schedule_partial_iswap(
         angle, cp.delta_rad_per_fs, cp.g_rad_per_fs,
@@ -376,10 +388,8 @@ def _dispersive_gate(cfg: ScenarioConfig, params, basis, angle: float):
 
 
 def _run_fig2b(cfg: ScenarioConfig, out: Path):
-    params = cfg.to_scenario()
+    params = _detuned_scenario(cfg)
     basis = cfg.to_basis()
-    if params.coupling.J_rad_per_fs is None:
-        raise ConfigError("fig2b needs a detuned drive")
     schedule, prop, result = _dispersive_gate(cfg, params, basis, math.pi / 2)
     total = schedule.wall_time_fs
 
@@ -413,7 +423,7 @@ def _run_fig2b(cfg: ScenarioConfig, out: Path):
 
 
 def _run_fig3(cfg: ScenarioConfig, out: Path):
-    params = cfg.to_scenario()
+    params = _detuned_scenario(cfg)
     basis = cfg.to_basis()
     cp = params.coupling
     n_q = basis.num_electrons
@@ -628,7 +638,7 @@ def _run_fig2b_like_gate(cfg: ScenarioConfig, out: Path):
     gate_type = cfg.values["gate.type"]
     angle = (math.pi / 2 if gate_type == "iswap"
              else cfg.values["gate.theta_rad"])
-    params = cfg.to_scenario()
+    params = _detuned_scenario(cfg)
     schedule, _, result = _dispersive_gate(cfg, params, cfg.to_basis(), angle)
     metrics = {
         "duration_fs": schedule.wall_time_fs,

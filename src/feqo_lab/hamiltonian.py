@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import csgraph
 
 from .errors import BasisError, DomainError
 from .hilbert import BasisSpec, E_LABEL, G_LABEL, StateVector, qubit_window
@@ -53,7 +54,7 @@ class HermitianOperator:
 
     _csr: sparse.csr_matrix | None = field(default=None, repr=False)
     _dense: np.ndarray | None = field(default=None, repr=False)
-    _eig: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+    _eig: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.diag = np.asarray(self.diag, dtype=np.float64)
@@ -95,11 +96,28 @@ class HermitianOperator:
         v = state.amplitudes if isinstance(state, StateVector) else np.asarray(state)
         return float(np.real(np.vdot(v, self.matvec(v))))
 
-    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cached dense Hermitian eigendecomposition (w, V)."""
+    def blocks(self) -> list[np.ndarray]:
+        """Flat indices of each connected block: no element of H joins two."""
+        _, comp = csgraph.connected_components(self.upper != 0, directed=False)
+        order = np.argsort(comp, kind="stable")
+        return np.split(order, np.cumsum(np.bincount(comp))[:-1])
+
+    def eigensystem(self) -> tuple[np.ndarray, sparse.csr_matrix]:
+        """Cached (w, V) from one dense eigh per block: V is sparse and block
+        diagonal, and w[k] is the eigenvalue of column k."""
         if self._eig is None:
-            w, v = np.linalg.eigh(self.to_dense())
-            self._eig = (w, v)
+            blocks = self.blocks()
+            order = np.concatenate(blocks)
+            p = self.to_csr()[order][:, order]   # block diagonal in this order
+            w, v, a = np.empty(self.dimension), [], 0
+            for idx in blocks:
+                b = a + idx.size
+                w[idx], v_b = np.linalg.eigh(p[a:b, a:b].toarray())
+                v.append(v_b)
+                a = b
+            v = sparse.block_diag(v, format="coo")
+            self._eig = (w, sparse.csr_matrix(
+                (v.data, (order[v.row], order[v.col])), shape=v.shape))
         return self._eig
 
     def gershgorin_interval(self) -> tuple[float, float]:

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -232,6 +233,39 @@ class TestRunners:
             with pytest.raises(ConfigError, match="basis.num_electrons"):
                 run_wstate(3, mode, out_dir=tmp_path,
                            overrides={"basis.num_electrons": 2})
+        assert not any(tmp_path.iterdir())
+
+    def test_iswap_runs_refuse_other_register_sizes(self, tmp_path):
+        # the iSWAP runs read basis.num_electrons but act on two qubits
+        runs = (lambda **kw: run_experiment("fig2b", **kw),
+                lambda **kw: run_gate("iswap", **kw),
+                lambda **kw: run_gate("partial_iswap", **kw))
+        for n in (1, 3):
+            for run in runs:
+                with pytest.raises(ConfigError, match="basis.num_electrons"):
+                    run(out_dir=tmp_path, sets=[f"basis.num_electrons={n}"])
+        result = CliRunner().invoke(cli, ["gate", "iswap", "--out",
+                                          str(tmp_path), "--set",
+                                          "basis.num_electrons=3"])
+        assert result.exit_code == 2, result.output
+        assert "basis.num_electrons" in result.output
+        assert not any(tmp_path.iterdir())
+
+    def test_dispersive_runs_refuse_a_resonant_drive(self, tmp_path):
+        # one detuning check runs before any schedule is built, so no
+        # dispersive-regime warning comes first
+        runs = (lambda **kw: run_experiment("fig2b", **kw),
+                lambda **kw: run_experiment("fig3", **kw),
+                lambda **kw: run_gate("iswap", **kw),
+                lambda **kw: run_gate("partial_iswap", **kw),
+                lambda **kw: run_wstate(3, "digital", **kw))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for run in runs:
+                with pytest.raises(ConfigError,
+                                   match="drive.photon_energy_eV"):
+                    run(out_dir=tmp_path,
+                        sets=["drive.photon_energy_eV=6.2"])
         assert not any(tmp_path.iterdir())
 
     def test_gate_argument_conflict(self, tmp_path):

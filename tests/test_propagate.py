@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,9 +6,10 @@ import pytest
 from scipy import sparse
 
 from feqo_lab import (CODATA2018, DomainError, PropagationError,
-                      PropagatorConfig, basis_ket, build_jc_interaction,
-                      coherent_state, excitation_observable, make_basis,
-                      propagate, propagate_eigen, qubit_window,
+                      PropagatorConfig, basis_ket, build_dispersive_xy,
+                      build_jc, build_jc_interaction, build_pinem, build_tc,
+                      coherent_state, default_window, excitation_observable,
+                      make_basis, propagate, propagate_eigen, qubit_window,
                       tensor_product)
 from feqo_lab.hamiltonian import HermitianOperator
 from feqo_lab.hilbert import StateVector
@@ -227,3 +229,90 @@ class TestDimensionCap:
             propagate(h, psi0, 1.0, PropagatorConfig(eigen_dim_cap=4))
         with pytest.raises(PropagationError, match="FIXED_STEP"):
             propagate_eigen(h, psi0, 1.0, dim_cap=4)
+
+    def test_cap_bounds_the_largest_block(self, rng):
+        # a 16-state JC ladder has blocks of at most 2 states
+        basis = make_basis(1, qubit_window(), 7)
+        h = build_jc_interaction(0.05, basis)
+        psi0 = StateVector(basis, random_state(rng, basis.dimension))
+        propagate_eigen(h, psi0, 1.0, dim_cap=2)
+        with pytest.raises(PropagationError, match=r"\b2 states.*cap 1\b"):
+            propagate(h, psi0, 1.0, PropagatorConfig(eigen_dim_cap=1))
+
+    def test_three_electron_pinem_runs_on_the_eigen_route(self, strong_params,
+                                                          rng):
+        # 6696 states, above the default cap, in blocks of at most 216
+        basis = make_basis(3, default_window(6), 30)
+        h = build_pinem(strong_params, basis)
+        assert basis.dimension == 6696
+        assert max(idx.size for idx in h.blocks()) == 216
+        psi0 = StateVector(basis, random_state(rng, basis.dimension))
+        eigen, fixed = (propagate(h, psi0, 2.0, PropagatorConfig(
+            method=method, sample_every_fs=0.5))
+            for method in (EIGEN_ORACLE, FIXED_STEP))
+        assert np.max(np.abs(eigen.final_state.amplitudes
+                             - fixed.final_state.amplitudes)) < 1e-9
+        assert np.max(np.abs(eigen.populations - fixed.populations)) < 1e-10
+        with pytest.raises(PropagationError, match=r"\b216 states"):
+            propagate(h, psi0, 2.0, PropagatorConfig(eigen_dim_cap=215))
+
+
+def _block_cases(p, p_b):
+    """One operator per builder, each on a basis with many blocks."""
+    pinem = make_basis(2, default_window(4), 5)
+    qubits = make_basis(3, qubit_window(), 4)
+    return {
+        "pinem": build_pinem(p, pinem),
+        "pinem_exact_kn": build_pinem(dataclasses.replace(p, exact_kn=True),
+                                      pinem),
+        "jc": build_jc(p, make_basis(1, qubit_window(), 12)),
+        "tc": build_tc(p_b, qubits),
+        "tc_active": build_tc(p_b, qubits, active=(0, 2)),
+        "jc_interaction": build_jc_interaction(
+            p.coupling.g_rad_per_fs, qubits),
+        "dispersive_xy": build_dispersive_xy(
+            p_b.coupling.J_signed_rad_per_fs, qubits, pair=(0, 2)),
+    }
+
+
+class TestBlockRoute:
+    """The blockwise eigen route against one dense eigh of the full H."""
+
+    @staticmethod
+    def dense_evolution(h, psi0, t):
+        w, v = np.linalg.eigh(h.to_dense())
+        coeff = v.conj().T @ psi0.amplitudes
+        return v @ (np.exp(-1j * w * t / HBAR) * coeff)
+
+    @pytest.mark.parametrize("case", ["pinem", "pinem_exact_kn", "jc", "tc",
+                                      "tc_active", "jc_interaction",
+                                      "dispersive_xy"])
+    def test_builders_match_dense_eigh(self, case, strong_params,
+                                       fig2b_params, rng):
+        h = _block_cases(strong_params, fig2b_params)[case]
+        assert len(h.blocks()) > 4
+        for _ in range(3):
+            psi0 = StateVector(h.basis, random_state(rng, h.dimension))
+            for t in (0.0, 0.7, 13.0, 210.0):
+                out = propagate_eigen(h, psi0, t)
+                assert np.max(np.abs(out.amplitudes - self.dense_evolution(
+                    h, psi0, t))) < 1e-9, (case, t)
+
+    def test_blocks_partition_the_basis(self, strong_params, fig2b_params):
+        for case, h in _block_cases(strong_params, fig2b_params).items():
+            flat = np.sort(np.concatenate(h.blocks()))
+            assert np.array_equal(flat, np.arange(h.dimension)), case
+            w, v = h.eigensystem()
+            eye = sparse.identity(h.dimension)
+            assert abs(v.conj().T @ v - eye).max() < 1e-12, case
+            assert abs(h.to_csr() @ v - v @ sparse.diags(w)).max() < 1e-10, \
+                case
+
+    def test_dense_random_hermitian_is_one_block(self, rng):
+        basis = make_basis(2, qubit_window(), 3)
+        h = random_hermitian(rng, basis, scale=2.0)
+        assert len(h.blocks()) == 1
+        psi0 = StateVector(basis, random_state(rng, basis.dimension))
+        for t in (0.3, 25.0):
+            assert np.max(np.abs(propagate_eigen(h, psi0, t).amplitudes
+                                 - self.dense_evolution(h, psi0, t))) < 1e-10
