@@ -71,12 +71,10 @@ class _Key:
 
 SCHEMA: dict[str, _Key] = {
     "electron.beta": _Key(_float),
-    "electron.E0_eV": _Key(_float, positive=True),
     "drive.photon_energy_eV": _Key(_float, positive=True),
     "drive.alpha_re": _Key(_float),
     "drive.alpha_im": _Key(_float),
     "drive.grating_period_nm": _Key(_float, positive=True),
-    "drive.auto_phase_match": _Key(_bool),
     "drive.phase_match_photon_energy_eV": _Key(_float, positive=True),
     "drive.incidence_theta_rad": _Key(_float),
     "mode.box_edge_nm": _Key(_float, positive=True),
@@ -184,14 +182,11 @@ class ScenarioConfig:
             raise ConfigError(f"electron.beta: must be in (0, 1), got {beta}")
         if "drive.photon_energy_eV" not in self.values:
             raise ConfigError("drive.photon_energy_eV is required")
-        has_period = "drive.grating_period_nm" in self.values
-        auto = self.values.get("drive.auto_phase_match", not has_period)
-        if has_period and auto:
-            raise ConfigError("drive.grating_period_nm conflicts with "
-                              "drive.auto_phase_match = true")
-        if not has_period and not auto:
-            raise ConfigError("give drive.grating_period_nm or set "
-                              "drive.auto_phase_match = true")
+        if ("drive.grating_period_nm" in self.values
+                and "drive.phase_match_photon_energy_eV" in self.values):
+            raise ConfigError("drive.phase_match_photon_energy_eV: the grating "
+                              "is phase-matched only when no "
+                              "drive.grating_period_nm is given")
         mode_keys = [k for k in ("mode.box_edge_nm", "mode.E_z_tilde_V_per_m")
                      if k in self.values]
         if len(mode_keys) != 1:
@@ -217,14 +212,11 @@ class ScenarioConfig:
 
     def to_scenario(self) -> ScenarioParams:
         v = self.values
-        auto = v.get("drive.auto_phase_match",
-                     "drive.grating_period_nm" not in v)
         return make_scenario(
             beta=v["electron.beta"],
-            E0_eV=v.get("electron.E0_eV"),
             photon_energy_eV=v["drive.photon_energy_eV"],
             alpha=self.alpha(),
-            grating_period_nm=None if auto else v["drive.grating_period_nm"],
+            grating_period_nm=v.get("drive.grating_period_nm"),
             phase_match_photon_energy_eV=v.get(
                 "drive.phase_match_photon_energy_eV"),
             box_edge_nm=v.get("mode.box_edge_nm"),

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from functools import partial
 from pathlib import Path
 from typing import Any
 
@@ -30,12 +29,6 @@ __all__ = ["ResultRecord", "run_experiment", "run_wstate", "run_gate",
            "export_density_matrix", "available_experiments"]
 
 CSV_DIGITS = 9
-
-# keys read beyond DYNAMIC_KEYS: resonant gates, register gates, s1/s2
-_RESONANT_KEYS = DYNAMIC_KEYS | {"gate.type", "gate.theta_rad", "gate.initial"}
-_REGISTER_KEYS = DYNAMIC_KEYS | {"initial.theta_1_rad", "initial.theta_2_rad"}
-_RUN_TIME_KEYS = DYNAMIC_KEYS | {"gate.initial", "run.total_time_fs"}
-
 
 @dataclass
 class ResultRecord:
@@ -236,44 +229,43 @@ def _with_jc_reference(basis, init_label: str, photon: np.ndarray
 
 
 # ----------------------------------------------------------------------
-# individual experiments
+# individual experiments: runner(cfg, params, record, out) fills
+# record.metrics and returns (csvs, plot) for _emit
 # ----------------------------------------------------------------------
 
-def _run_params_only(cfg: ScenarioConfig, out: Path):
-    params = cfg.to_scenario()
-    metrics = {
+def _run_params_only(cfg: ScenarioConfig, params, record, out: Path):
+    record.metrics.update({
         "E_half_minus_E_minus_half_eV":
             physpar.sideband_energy(0.5, params)
             - physpar.sideband_energy(-0.5, params),
         "leak_detuning_eV": physpar.transition_detuning(0.5, params),
-    }
-    return ResultRecord("params_only", dict(cfg.values),
-                        _derived_dict(params), metrics), {}, None
+    })
+    return {}, None
 
 
-def _run_smith_purcell(cfg: ScenarioConfig, out: Path):
-    params = cfg.to_scenario()
+def _run_smith_purcell(cfg: ScenarioConfig, params, record, out: Path):
     beta = params.electron.beta
     lam = params.drive.wavelength_nm
     theta = params.drive.incidence_theta_rad
-    metrics = {
+    metrics = record.metrics
+    metrics.update({
         "Lambda_classical_nm": physpar.classical_grating_period(lam, beta),
         "Lambda_m1_nm": physpar.quantum_grating_period(lam, theta, beta, 1),
         "Lambda_m2_nm": physpar.quantum_grating_period(lam, theta, beta, 2),
-    }
+    })
     try:
         physpar.quantum_grating_period(lam, theta, beta, 0)
         metrics["m0_rejected"] = False
     except GratingError as exc:
         metrics["m0_rejected"] = True
         metrics["m0_error"] = str(exc)
-    return ResultRecord("smith_purcell", dict(cfg.values),
-                        _derived_dict(params), metrics), {}, None
+    return {}, None
 
 
-def _resonant_gate_run(name: str, cfg: ScenarioConfig, out: Path):
-    """fig2a / fig2a_strong: full-model X gate vs the ideal JC dynamics."""
-    params = cfg.to_scenario()
+def _resonant_gate_run(cfg: ScenarioConfig, params, record, out: Path):
+    """fig2a / fig2a_strong / gate rx|ry|rz: full-model gate vs the ideal JC
+    dynamics."""
+    name = record.experiment
     basis = cfg.to_basis()
     alpha = cfg.alpha()
     g = params.coupling.g_rad_per_fs
@@ -312,7 +304,7 @@ def _resonant_gate_run(name: str, cfg: ScenarioConfig, out: Path):
     rms = _rms(traj.computational_populations()[:, 0, :],
                traj_jc.computational_populations()[:, 0, :])
 
-    metrics = {
+    record.metrics.update({
         "duration_fs": total,
         "fidelity": result.fidelity,
         "entropy_nats": result.entropy_nats,
@@ -322,12 +314,11 @@ def _resonant_gate_run(name: str, cfg: ScenarioConfig, out: Path):
         "rms_vs_ideal_jc": rms,
         "ideal_jc_fidelity": result_jc.fidelity,
         "photon_mean_final": float(traj.photon_mean[-1]),
-    }
+    })
     if gate_type == "rx" and abs(theta - math.pi) < 1e-12:
-        metrics["T_pi_fs"] = total
-    record = ResultRecord(name, dict(cfg.values), _derived_dict(params), metrics)
+        record.metrics["T_pi_fs"] = total
     series = _plot_series(traj, "PINEM") + _plot_series(traj_jc, "JC")
-    return (record, {"_pinem": traj, "_ideal_jc": traj_jc},
+    return ({"_pinem": traj, "_ideal_jc": traj_jc},
             (f"{name}: resonant X gate populations", traj.times_fs, series))
 
 
@@ -352,13 +343,11 @@ def _xy_ideal_states(params, qubit_factors: list[np.ndarray], plan
     return out
 
 
-def _detuned_scenario(cfg: ScenarioConfig) -> physpar.ScenarioParams:
-    """Scenario of a dispersive run, which needs a detuned drive."""
-    params = cfg.to_scenario()
+def _check_detuned(params: physpar.ScenarioParams):
+    """The dispersive gates need a drive detuned from the qubit transition."""
     if params.coupling.J_rad_per_fs is None:
         raise ConfigError("drive.photon_energy_eV: the dispersive gates need "
                           "a drive detuned from the qubit transition")
-    return params
 
 
 def _dispersive_gate(cfg: ScenarioConfig, params, basis, angle: float):
@@ -367,9 +356,7 @@ def _dispersive_gate(cfg: ScenarioConfig, params, basis, angle: float):
 
     Returns (schedule, propagator config, GateResult).
     """
-    if basis.num_electrons != 2:
-        raise ConfigError(f"basis.num_electrons: the iSWAP gates act on 2 "
-                          f"electrons, not {basis.num_electrons}")
+    _check_detuned(params)
     cp = params.coupling
     schedule = gates.schedule_partial_iswap(
         angle, cp.delta_rad_per_fs, cp.g_rad_per_fs,
@@ -387,8 +374,7 @@ def _dispersive_gate(cfg: ScenarioConfig, params, basis, angle: float):
     return schedule, prop, result
 
 
-def _run_fig2b(cfg: ScenarioConfig, out: Path):
-    params = _detuned_scenario(cfg)
+def _run_fig2b(cfg: ScenarioConfig, params, record, out: Path):
     basis = cfg.to_basis()
     schedule, prop, result = _dispersive_gate(cfg, params, basis, math.pi / 2)
     total = schedule.wall_time_fs
@@ -404,7 +390,7 @@ def _run_fig2b(cfg: ScenarioConfig, out: Path):
     p2e = probe.populations[:, 1, e_col]
     peak = _refine_peak(probe.times_fs, p2e)
 
-    metrics = {
+    record.metrics.update({
         "T_iswap_fs": total,
         "fidelity_post_virtual_z": result.fidelity,
         "virtual_z_phase_rad": schedule.segments[0].virtual_z_after[0],
@@ -413,17 +399,32 @@ def _run_fig2b(cfg: ScenarioConfig, out: Path):
         "entropy_nats": result.entropy_nats,
         "leakage_final": result.leakage,
         "photon_mean_final": float(result.trajectories[-1].photon_mean[-1]),
-    }
-    record = ResultRecord("fig2b", dict(cfg.values), _derived_dict(params),
-                          metrics)
+    })
     traj = result.trajectories[-1]
-    return (record, {"": traj, "_probe": probe},
+    return ({"": traj, "_probe": probe},
             ("fig2b: dispersive iSWAP populations", traj.times_fs,
              _plot_series(traj, "TC")))
 
 
-def _run_fig3(cfg: ScenarioConfig, out: Path):
-    params = _detuned_scenario(cfg)
+def _run_register_gate(cfg: ScenarioConfig, params, record, out: Path):
+    """gate iswap / partial-iswap on the fig2b register."""
+    gate_type = cfg.values["gate.type"]
+    angle = (math.pi / 2 if gate_type == "iswap"
+             else cfg.values["gate.theta_rad"])
+    schedule, _, result = _dispersive_gate(cfg, params, cfg.to_basis(), angle)
+    record.metrics.update({
+        "duration_fs": schedule.wall_time_fs,
+        "rotation_angle_rad": angle,
+        "fidelity": result.fidelity,
+        "leakage_final": result.leakage,
+        "entropy_nats": result.entropy_nats,
+    })
+    trajs = result.trajectories
+    return {"": trajs[-1]} if trajs else {}, None
+
+
+def _run_fig3(cfg: ScenarioConfig, params, record, out: Path):
+    _check_detuned(params)
     basis = cfg.to_basis()
     cp = params.coupling
     n_q = basis.num_electrons
@@ -444,10 +445,9 @@ def _run_fig3(cfg: ScenarioConfig, out: Path):
         basis, (hilbert.E_LABEL,) + (hilbert.G_LABEL,) * (n_q - 1), 0)
 
     schedule = gates.GateSchedule(segments=tuple(segs))
-    metrics: dict[str, Any] = {"convention": convention,
-                               "T_total_fs": schedule.wall_time_fs}
-    record = ResultRecord("fig3", dict(cfg.values), _derived_dict(params),
-                          metrics)
+    metrics = record.metrics
+    metrics.update({"convention": convention,
+                    "T_total_fs": schedule.wall_time_fs})
     result = gates.execute(schedule, psi0, params,
                            config=cfg.to_propagator(schedule.wall_time_fs))
     # full matrices up to 3 qubits; above, the pair each gate acts on
@@ -477,14 +477,13 @@ def _run_fig3(cfg: ScenarioConfig, out: Path):
         qubit_subset=(0, 1) if wide else None))
 
     trajs = result.trajectories
-    return (record, {f"_gate{j}": t for j, t in enumerate(trajs, start=1)},
+    return ({f"_gate{j}": t for j, t in enumerate(trajs, start=1)},
             ("fig3: W-state preparation, gate 1", trajs[0].times_fs,
              _plot_series(trajs[0], "gate1")))
 
 
-def _run_collapse_revival(name: str, cfg: ScenarioConfig, out: Path):
+def _run_collapse_revival(cfg: ScenarioConfig, params, record, out: Path):
     """s1_bragg / s2_ramannath: full model vs ideal JC vs the exact series."""
-    params = cfg.to_scenario()
     basis = cfg.to_basis()
     alpha = cfg.alpha()
     g = params.coupling.g_rad_per_fs
@@ -515,7 +514,7 @@ def _run_collapse_revival(name: str, cfg: ScenarioConfig, out: Path):
     leak = traj.leakage()
     above = np.nonzero(leak > 0.01)[0]
 
-    metrics = {
+    record.metrics.update({
         "g_rad_per_fs": g,
         "t_coll_gaussian_fs": pred.t_coll_gaussian_fs,
         "t_c_adjacent_fs": pred.t_c_adjacent_fs,
@@ -527,46 +526,15 @@ def _run_collapse_revival(name: str, cfg: ScenarioConfig, out: Path):
         "leakage_first_above_1pc_fs":
             float(traj.times_fs[above[0]]) if above.size else None,
         "regime": analytics.classify_regime(params, alpha).regime,
-    }
-    record = ResultRecord(name, dict(cfg.values), _derived_dict(params),
-                          metrics)
+    })
     series_plots = _plot_series(traj, "PINEM")
     series_plots.append({"label": "exact series P_e", "values": series})
-    return (record, {"_pinem": traj, "_ideal_jc": traj_jc},
-            (f"{name}: collapse and revival", traj.times_fs, series_plots))
+    return ({"_pinem": traj, "_ideal_jc": traj_jc},
+            (f"{record.experiment}: collapse and revival", traj.times_fs,
+             series_plots))
 
 
-def _merged_config(preset: dict[str, Any], read: frozenset[str],
-                   fixed: dict[str, Any], overrides: dict[str, Any] | None,
-                   config_text: str | None, sets: list[str] | None
-                   ) -> ScenarioConfig:
-    """Preset, then the entry point's fixed keys, then caller overrides,
-    then the config file text and --set pairs; every merged key must be one
-    the run reads, and no later source may change a fixed key."""
-    cfg = ScenarioConfig.from_sources(
-        preset={**preset, **fixed, **(overrides or {})},
-        file_text=config_text, sets=sets)
-    unread = sorted(cfg.values.keys() - read)
-    if unread:
-        raise ConfigError(f"this run does not read {', '.join(unread)}")
-    for key, value in fixed.items():
-        if cfg.values[key] != value:
-            raise ConfigError(f"{key}: the entry point fixes {value!r}, the "
-                              f"config sets {cfg.values[key]!r}")
-    return cfg
-
-
-def _run(runner, cfg: ScenarioConfig, out_dir, fmt: str) -> ResultRecord:
-    """Check fmt, then run runner(cfg, out) -> (record, csvs, plot) and
-    write its files through _emit."""
-    if fmt not in ("csv", "json", "both"):
-        raise ConfigError(f"format must be csv, json, or both, not {fmt!r}")
-    out = Path(out_dir)
-    return _emit(out, fmt, *runner(cfg, out))
-
-
-def _run_wstate_analog(cfg: ScenarioConfig, out: Path):
-    params = cfg.to_scenario()
+def _run_wstate_analog(cfg: ScenarioConfig, params, record, out: Path):
     basis = cfg.to_basis()
     n_qubits = basis.num_electrons
     g = params.coupling.g_rad_per_fs
@@ -583,32 +551,100 @@ def _run_wstate_analog(cfg: ScenarioConfig, out: Path):
     result = gates.execute(schedule, psi0, params, ideal_target=w_target,
                            config=prop)
     traj = result.trajectories[-1]
-    metrics = {
+    record.metrics.update({
         "T_TC_fs": total,
         "fidelity_w": result.fidelity,
         "photon_mean_final": float(traj.photon_mean[-1]),
         "entropy_nats": result.entropy_nats,
-    }
-    record = ResultRecord("wstate_analog", dict(cfg.values),
-                          _derived_dict(params), metrics)
-    return (record, {"": traj}, ("analog W state via resonant TC",
-                                 traj.times_fs, _plot_series(traj, "TC")))
+    })
+    return {"": traj}, ("analog W state via resonant TC", traj.times_fs,
+                        _plot_series(traj, "TC"))
+
+
+# Keys of which a run supports one value, fixed so that another value is
+# refused by name: the PINEM runs act on one electron, the TC and XY runs on
+# the +-1/2 sideband pair, and the iSWAPs on two electrons.
+_PINEM = {"basis.num_electrons": 1}
+_QUBIT_PAIR = {"basis.sidebands": 2}
+_TWO_QUBITS = {"basis.num_electrons": 2, "basis.sidebands": 2}
+
+# run name (the record's experiment) -> (preset, base keys, fixed keys,
+# runner).  A run reads its base keys, its preset's keys and its fixed keys,
+# and no other; no later source may change a fixed key.
+_RUNS = {
+    "params_only": (PRESETS["params_only"], SCENARIO_KEYS, {},
+                    _run_params_only),
+    "smith_purcell": (PRESETS["smith_purcell"], SCENARIO_KEYS, {},
+                      _run_smith_purcell),
+    "fig2a": (PRESETS["fig2a"], DYNAMIC_KEYS, _PINEM, _resonant_gate_run),
+    "fig2a_strong": (PRESETS["fig2a_strong"], DYNAMIC_KEYS, _PINEM,
+                     _resonant_gate_run),
+    "fig2b": (PRESETS["fig2b"], DYNAMIC_KEYS, _TWO_QUBITS, _run_fig2b),
+    "fig3": (PRESETS["fig3"], DYNAMIC_KEYS, _QUBIT_PAIR, _run_fig3),
+    "s1_bragg": (PRESETS["s1_bragg"], DYNAMIC_KEYS, _PINEM,
+                 _run_collapse_revival),
+    "s2_ramannath": (PRESETS["s2_ramannath"], DYNAMIC_KEYS, _PINEM,
+                     _run_collapse_revival),
+    **{f"gate_{t}": (PRESETS["fig2a"], DYNAMIC_KEYS,
+                     {**_PINEM, "gate.type": t}, _resonant_gate_run)
+       for t in ("rx", "ry", "rz")},
+    "gate_iswap": (PRESETS["fig2b"], DYNAMIC_KEYS,
+                   {**_TWO_QUBITS, "gate.type": "iswap"}, _run_register_gate),
+    "gate_partial_iswap": ({**PRESETS["fig2b"], "gate.theta_rad": math.pi / 4},
+                           DYNAMIC_KEYS,
+                           {**_TWO_QUBITS, "gate.type": "partial_iswap"},
+                           _run_register_gate),
+    "wstate_analog": (WSTATE_ANALOG_BASE, DYNAMIC_KEYS, _QUBIT_PAIR,
+                      _run_wstate_analog),
+}
+
+
+def _merged_config(preset: dict[str, Any], read: set[str] | frozenset[str],
+                   fixed: dict[str, Any], overrides: dict[str, Any] | None,
+                   config_text: str | None, sets: list[str] | None
+                   ) -> ScenarioConfig:
+    """Preset, then the run's fixed keys, then caller overrides, then the
+    config file text and --set pairs; every merged key must be one the run
+    reads, and no later source may change a fixed key."""
+    cfg = ScenarioConfig.from_sources(
+        preset={**preset, **fixed, **(overrides or {})},
+        file_text=config_text, sets=sets)
+    unread = sorted(cfg.values.keys() - read)
+    if unread:
+        raise ConfigError(f"this run does not read {', '.join(unread)}")
+    for key, value in fixed.items():
+        if cfg.values[key] != value:
+            raise ConfigError(f"{key}: this run fixes {value!r}, the config "
+                              f"sets {cfg.values[key]!r}")
+    return cfg
+
+
+def _run(name: str, fixed: dict[str, Any], overrides: dict[str, Any] | None,
+         out_dir, fmt: str, config_text: str | None, sets: list[str] | None
+         ) -> ResultRecord:
+    """Merge and check the config of run `name` with the entry point's own
+    fixed keys, check fmt, derive the scenario and start the record once,
+    then let the row's runner fill it and write its files through _emit."""
+    preset, base, row_fixed, runner = _RUNS[name]
+    cfg = _merged_config(preset, base | preset.keys() | row_fixed.keys(),
+                         {**row_fixed, **fixed}, overrides, config_text, sets)
+    if fmt not in ("csv", "json", "both"):
+        raise ConfigError(f"format must be csv, json, or both, not {fmt!r}")
+    params = cfg.to_scenario()
+    record = ResultRecord(name, dict(cfg.values), _derived_dict(params), {})
+    out = Path(out_dir)
+    return _emit(out, fmt, record, *runner(cfg, params, record, out))
 
 
 def run_wstate(n_qubits: int, mode: str, overrides: dict[str, Any] | None = None,
                out_dir=".", fmt: str = "both", sets: list[str] | None = None,
                config_text: str | None = None) -> ResultRecord:
     """Analog (resonant TC) or digital (partial-iSWAP) W-state preparation."""
-    if mode == "digital":
-        preset, (runner, read) = PRESETS["fig3"], _RUNNERS["fig3"]
-    elif mode == "analog":
-        preset, runner, read = (WSTATE_ANALOG_BASE, _run_wstate_analog,
-                                DYNAMIC_KEYS)
-    else:
+    names = {"digital": "fig3", "analog": "wstate_analog"}
+    if mode not in names:
         raise ConfigError(f"wstate mode must be digital or analog, not {mode!r}")
-    cfg = _merged_config(preset, read, {"basis.num_electrons": n_qubits},
-                         overrides, config_text, sets)
-    return _run(runner, cfg, out_dir, fmt)
+    return _run(names[mode], {"basis.num_electrons": n_qubits}, overrides,
+                out_dir, fmt, config_text, sets)
 
 
 def run_gate(gate_type: str, theta: float | None = None,
@@ -616,56 +652,11 @@ def run_gate(gate_type: str, theta: float | None = None,
              fmt: str = "both", sets: list[str] | None = None,
              config_text: str | None = None) -> ResultRecord:
     """Run a single named gate on the matching preset scenario."""
-    fixed: dict[str, Any] = {"gate.type": gate_type}
-    if theta is not None:
-        fixed["gate.theta_rad"] = theta
-    if gate_type in ("rx", "ry", "rz"):
-        preset, read = PRESETS["fig2a"], _RESONANT_KEYS
-        runner = partial(_resonant_gate_run, f"gate_{gate_type}")
-    elif gate_type in ("iswap", "partial_iswap"):
-        preset, read = PRESETS["fig2b"], _REGISTER_KEYS | {"gate.type"}
-        if gate_type == "partial_iswap":
-            preset = {**preset, "gate.theta_rad": math.pi / 4}
-            read |= {"gate.theta_rad"}
-        runner = _run_fig2b_like_gate
-    else:
+    name = f"gate_{gate_type}"
+    if name not in _RUNS:
         raise ConfigError(f"unknown gate type {gate_type!r}")
-    cfg = _merged_config(preset, read, fixed, overrides, config_text, sets)
-    return _run(runner, cfg, out_dir, fmt)
-
-
-def _run_fig2b_like_gate(cfg: ScenarioConfig, out: Path):
-    gate_type = cfg.values["gate.type"]
-    angle = (math.pi / 2 if gate_type == "iswap"
-             else cfg.values["gate.theta_rad"])
-    params = _detuned_scenario(cfg)
-    schedule, _, result = _dispersive_gate(cfg, params, cfg.to_basis(), angle)
-    metrics = {
-        "duration_fs": schedule.wall_time_fs,
-        "rotation_angle_rad": angle,
-        "fidelity": result.fidelity,
-        "leakage_final": result.leakage,
-        "entropy_nats": result.entropy_nats,
-    }
-    record = ResultRecord(f"gate_{gate_type}", dict(cfg.values),
-                          _derived_dict(params), metrics)
-    trajs = result.trajectories
-    return record, {"": trajs[-1]} if trajs else {}, None
-
-
-# experiment -> (runner, the keys it reads)
-_RUNNERS = {
-    "params_only": (_run_params_only, SCENARIO_KEYS),
-    "smith_purcell": (_run_smith_purcell, SCENARIO_KEYS),
-    "fig2a": (partial(_resonant_gate_run, "fig2a"), _RESONANT_KEYS),
-    "fig2a_strong": (partial(_resonant_gate_run, "fig2a_strong"),
-                     _RESONANT_KEYS),
-    "fig2b": (_run_fig2b, _REGISTER_KEYS),
-    "fig3": (_run_fig3, DYNAMIC_KEYS | {"wstate.convention"}),
-    "s1_bragg": (partial(_run_collapse_revival, "s1_bragg"), _RUN_TIME_KEYS),
-    "s2_ramannath": (partial(_run_collapse_revival, "s2_ramannath"),
-                     _RUN_TIME_KEYS),
-}
+    fixed = {} if theta is None else {"gate.theta_rad": theta}
+    return _run(name, fixed, overrides, out_dir, fmt, config_text, sets)
 
 
 def run_experiment(name: str, overrides: dict[str, Any] | None = None,
@@ -673,9 +664,7 @@ def run_experiment(name: str, overrides: dict[str, Any] | None = None,
                    config_text: str | None = None,
                    sets: list[str] | None = None) -> ResultRecord:
     """Run a named preset experiment and write its result files."""
-    if name not in _RUNNERS:
+    if name not in PRESETS:
         raise ConfigError(f"unknown experiment {name!r}; available: "
-                          f"{', '.join(sorted(_RUNNERS))}")
-    runner, read = _RUNNERS[name]
-    cfg = _merged_config(PRESETS[name], read, {}, overrides, config_text, sets)
-    return _run(runner, cfg, out_dir, fmt)
+                          f"{', '.join(sorted(PRESETS))}")
+    return _run(name, {}, overrides, out_dir, fmt, config_text, sets)

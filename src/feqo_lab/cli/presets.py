@@ -30,9 +30,7 @@ FIGURE_DISPERSION_SCALE = 100.0
 
 _RESONANT_COMMON = {
     "electron.beta": 0.02,
-    "electron.E0_eV": 100.0,
     "drive.photon_energy_eV": 6.20,
-    "drive.auto_phase_match": True,
     "basis.num_electrons": 1,
     "basis.sidebands": 6,
     "basis.fock_cutoff": "auto",
@@ -42,8 +40,6 @@ _RESONANT_COMMON = {
 
 _DISPERSIVE_COMMON = {
     "electron.beta": 0.02,
-    "electron.E0_eV": 100.0,
-    "drive.auto_phase_match": True,
     "drive.phase_match_photon_energy_eV": 6.20,
     "mode.E_z_tilde_V_per_m": 7.58e6,
     "drive.alpha_re": 0.0,
@@ -106,18 +102,14 @@ PRESETS: dict[str, dict] = {
     # grating-period pipeline only, no dynamics
     "smith_purcell": {
         "electron.beta": 0.02,
-        "electron.E0_eV": 100.0,
-        "drive.photon_energy_eV": 6.20,
-        "drive.auto_phase_match": True,
-        "mode.box_edge_nm": 100.0,
+            "drive.photon_energy_eV": 6.20,
+            "mode.box_edge_nm": 100.0,
     },
     # parameter derivation echo, defaults to the fig2a scenario
     "params_only": {
         "electron.beta": 0.02,
-        "electron.E0_eV": 100.0,
-        "drive.photon_energy_eV": 6.20,
-        "drive.auto_phase_match": True,
-        "mode.box_edge_nm": 100.0,
+            "drive.photon_energy_eV": 6.20,
+            "mode.box_edge_nm": 100.0,
         "drive.alpha_re": 10.0,
     },
 }
@@ -126,9 +118,7 @@ PRESETS: dict[str, dict] = {
 # backs it with the fig2a resonant mode parameters
 WSTATE_ANALOG_BASE = {
     "electron.beta": 0.02,
-    "electron.E0_eV": 100.0,
     "drive.photon_energy_eV": 6.20,
-    "drive.auto_phase_match": True,
     "mode.box_edge_nm": 100.0,
     "basis.sidebands": 2,
     "basis.fock_cutoff": "3",

@@ -25,8 +25,7 @@ from .analytics import leakage_fraction
 from .errors import BasisError, DomainError
 from .hamiltonian import ModelKind, build_model
 from .hilbert import (DensityOperator, StateVector, computational_block,
-                      computational_labels, partial_trace, uhlmann_fidelity,
-                      von_neumann_entropy)
+                      partial_trace, uhlmann_fidelity, von_neumann_entropy)
 from .physpar import _HBAR, ScenarioParams
 from .propagate import PropagatorConfig, Trajectory, propagate
 
@@ -320,8 +319,7 @@ def score_state(state: StateVector,
     basis = state.basis
     rho_e = partial_trace(state, keep="electrons")
     block = computational_block(rho_e, basis)
-    reduced = DensityOperator(block, labels=computational_labels(
-        basis.num_electrons), subsystem="qubits")
+    reduced = DensityOperator(block)
     fidelity = None
     if ideal_target is not None:
         target = (ideal_target.matrix if isinstance(ideal_target, DensityOperator)

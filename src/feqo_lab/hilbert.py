@@ -202,8 +202,6 @@ class DensityOperator:
     """Hermitian, positive-semidefinite, unit-trace operator on a subsystem."""
 
     matrix: np.ndarray
-    labels: tuple = ()
-    subsystem: str = ""
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=np.complex128)
@@ -342,10 +340,7 @@ def partial_trace(obj, keep="electrons", basis: BasisSpec | None = None) -> Dens
         mat = obj.matrix if isinstance(obj, DensityOperator) else np.asarray(obj)
         rho = reduce_operator(mat, basis.shape, axes)
     d = int(round(math.sqrt(rho.size)))
-    labels = tuple("photon" if a == basis.num_electrons else f"electron{a}"
-                   for a in axes)
-    return DensityOperator(rho.reshape(d, d), labels=labels,
-                           subsystem="+".join(labels))
+    return DensityOperator(rho.reshape(d, d))
 
 
 def computational_labels(num_qubits: int) -> tuple[str, ...]:

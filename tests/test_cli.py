@@ -31,6 +31,20 @@ UNITLESS_KEYS = {
 # reads do not depend on the values
 SMALL_RESONANT = ["drive.alpha_re=3.0"]
 
+# runs that support one value of a key, each with another value of it
+ONE_VALUE_RUNS = {
+    **{f"run {name}": (["run", name], "basis.num_electrons=2")
+       for name in ("fig2a", "fig2a_strong", "s1_bragg", "s2_ramannath")},
+    **{f"gate {gate}": (["gate", gate], "basis.num_electrons=2")
+       for gate in ("rx", "ry", "rz")},
+    **{" ".join(args): (args, "basis.sidebands=4")
+       for args in (["run", "fig2b"], ["run", "fig3"], ["gate", "iswap"],
+                    ["gate", "partial-iswap"])},
+    **{f"wstate {mode}": (["wstate", "--n", "3", "--mode", mode],
+                          "basis.sidebands=4")
+       for mode in ("analog", "digital")},
+}
+
 
 class _RecordingDict(dict):
     """A config dict that records every key looked up in it."""
@@ -64,21 +78,21 @@ class TestConfigGrammar:
         electron.beta = 0.02
 
         drive.photon_energy_eV = 6.20
-        drive.auto_phase_match = true
         basis.sidebands = 6
         """
         cfg = parse_config_text(text)
         assert cfg["electron.beta"] == 0.02
-        assert cfg["drive.auto_phase_match"] is True
         assert cfg["basis.sidebands"] == 6
 
     def test_unknown_key_rejected(self):
-        # the next four had no effect on any run, so they are not keys; no
+        # the next six had no effect on any run, so they are not keys; no
         # run reads a third register angle
         for key, value in (("drive.unknown_thing", "3"),
                            ("drive.phi0_rad", "1.0"),
                            ("drive.harmonic_m", "2"), ("wstate.n", "4"),
                            ("wstate.mode", "analog"),
+                           ("drive.auto_phase_match", "true"),
+                           ("electron.E0_eV", "100.0"),
                            ("initial.theta_3_rad", "0.5")):
             with pytest.raises(ConfigError, match=key):
                 parse_config_text(f"{key} = {value}")
@@ -119,16 +133,16 @@ class TestConfigGrammar:
             ScenarioConfig.from_sources(preset={
                 "electron.beta": 0.02,
                 "drive.photon_energy_eV": 6.2,
-                "drive.auto_phase_match": True,
             })
 
     def test_grating_conflict(self):
-        with pytest.raises(ConfigError, match="auto_phase_match"):
+        with pytest.raises(ConfigError,
+                           match="drive.phase_match_photon_energy_eV"):
             ScenarioConfig.from_sources(preset={
                 "electron.beta": 0.02,
                 "drive.photon_energy_eV": 6.2,
                 "drive.grating_period_nm": 4.0,
-                "drive.auto_phase_match": True,
+                "drive.phase_match_photon_energy_eV": 6.2,
                 "mode.box_edge_nm": 100.0,
             })
 
@@ -251,6 +265,17 @@ class TestRunners:
         assert "basis.num_electrons" in result.output
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("args, key", list(ONE_VALUE_RUNS.values()),
+                             ids=list(ONE_VALUE_RUNS))
+    def test_one_value_keys_refused_by_name(self, tmp_path, args, key):
+        # the PINEM runs act on one electron, the TC and XY runs on the
+        # +-1/2 sideband pair
+        result = CliRunner().invoke(cli, args + ["--out", str(tmp_path),
+                                                 "--set", key])
+        assert result.exit_code == 2, result.output
+        assert key.split("=")[0] in result.output
+        assert not any(tmp_path.iterdir())
+
     def test_dispersive_runs_refuse_a_resonant_drive(self, tmp_path):
         # one detuning check runs before any schedule is built, so no
         # dispersive-regime warning comes first
@@ -312,15 +337,17 @@ class TestRunners:
         runs += [(run_gate, gate) for gate in ("rx", "ry", "rz", "iswap",
                                                "partial_iswap")]
         runs += [(run_wstate, 3, "analog"), (run_wstate, 3, "digital")]
-        seen = {}
+        seen, names = {}, set()
         for k, (run, *args) in enumerate(runs):
             sets = SMALL_RESONANT if args[0] in resonant else []
-            run(*args, out_dir=tmp_path / str(k), fmt="json", sets=sets)
+            names.add(run(*args, out_dir=tmp_path / str(k), fmt="json",
+                          sets=sets).experiment)
             preset, read, values = calls[-1]
             assert values.seen == read, args
             assert preset.keys() <= read, args
             seen[tuple(args)] = values.seen
         assert len(calls) == len(runs)
+        assert names == experiments._RUNS.keys()
         assert seen[("params_only",)] == seen[("smith_purcell",)] \
             == SCENARIO_KEYS
         assert seen[(3, "analog")] == DYNAMIC_KEYS
