@@ -85,7 +85,6 @@ SCHEMA: dict[str, _Key] = {
     "basis.sidebands": _Key(_int, positive=True),
     "basis.fock_cutoff": _Key(_str),     # integer literal or "auto"
     "propagator.method": _Key(_str, choices=(EIGEN_ORACLE, FIXED_STEP)),
-    "propagator.step_dt_fs": _Key(_float, positive=True),
     "propagator.sample_every_fs": _Key(_float, positive=True),
     "propagator.norm_tol": _Key(_float, positive=True),
     "gate.type": _Key(_str, choices=("rx", "ry", "rz", "iswap",
@@ -243,7 +242,6 @@ class ScenarioConfig:
             sample = total_time_fs / 200.0
         return PropagatorConfig(
             method=self.get("propagator.method", EIGEN_ORACLE),
-            step_dt_fs=self.get("propagator.step_dt_fs"),
             sample_every_fs=sample,
             norm_tol=self.get("propagator.norm_tol", 1e-8),
         )

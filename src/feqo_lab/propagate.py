@@ -1,10 +1,14 @@
 """Norm-conserving time evolution under a constant Hermitian operator.
 
 Two routes: EIGEN_ORACLE diagonalizes each block of H once and applies exact
-phase factors; FIXED_STEP advances the whole state in fixed intervals,
+phase factors; FIXED_STEP advances the whole state in equal intervals,
 expanding each interval's exp(-i H dt / hbar) in Chebyshev polynomials to
 machine precision over a Gershgorin enclosure of the spectrum.  The two
 routes are algorithmically independent and are cross-checked in the tests.
+
+Both routes sample one grid.  A propagation of length T with sample gap D is
+split into K = ceil(T / D) equal intervals (K = 0 when T = 0); the samples
+sit at T k / K for k = 0 .. K, and the last sample is the final state.
 """
 
 from __future__ import annotations
@@ -22,29 +26,26 @@ from .hilbert import (StateVector, electron_populations, partial_trace,
                       von_neumann_entropy)
 from .physpar import _HBAR
 
-__all__ = ["EIGEN_ORACLE", "FIXED_STEP", "PropagatorConfig", "Trajectory",
-           "propagate", "propagate_eigen"]
+__all__ = ["EIGEN_DIM_CAP", "EIGEN_ORACLE", "FIXED_STEP", "PropagatorConfig",
+           "Trajectory", "propagate", "propagate_eigen"]
 
 EIGEN_ORACLE = "eigen"
 FIXED_STEP = "fixed_step"
+EIGEN_DIM_CAP = 4000        # largest block EIGEN_ORACLE solves
+MAX_INTERVALS = 10 ** 6     # sample intervals one propagation may hold
 
 
 @dataclass(frozen=True)
 class PropagatorConfig:
     method: str = EIGEN_ORACLE
-    step_dt_fs: float | None = None        # FIXED_STEP substep; defaults to the sample interval
-    sample_every_fs: float | None = None   # defaults to total_time / 200
+    sample_every_fs: float | None = None   # widest sample gap; defaults to total_time / 200
     norm_tol: float = 1e-8
-    eigen_dim_cap: int = 4000              # largest block EIGEN_ORACLE solves
 
     def __post_init__(self):
         if self.method not in (EIGEN_ORACLE, FIXED_STEP):
             raise DomainError(f"unknown propagation method {self.method!r}")
-        if self.step_dt_fs is not None and self.step_dt_fs <= 0:
-            raise DomainError("step_dt_fs must be positive")
-        if (self.step_dt_fs is not None and self.sample_every_fs is not None
-                and self.sample_every_fs < self.step_dt_fs):
-            raise DomainError("sample_every_fs must be >= step_dt_fs")
+        if self.sample_every_fs is not None and not self.sample_every_fs > 0:
+            raise DomainError("sample_every_fs must be positive")
 
 
 @dataclass
@@ -77,25 +78,24 @@ def _sample_metrics(basis, amps: np.ndarray):
             float(np.linalg.norm(amps)))
 
 
-def _eigen_route(H: HermitianOperator, psi0: StateVector, dim_cap: int):
+def _eigen_route(H: HermitianOperator, psi0: StateVector):
     """t -> amplitudes of V exp(-i L t / hbar) V^dag psi0."""
     largest = max(idx.size for idx in H.blocks())
-    if largest > dim_cap:
+    if largest > EIGEN_DIM_CAP:
         raise PropagationError(
             f"largest block of H has {largest} states, above the eigen-oracle "
-            f"cap {dim_cap}; use FIXED_STEP")
+            f"cap {EIGEN_DIM_CAP}; use FIXED_STEP")
     w, v = H.eigensystem()
     coeff = v.conj().T @ psi0.amplitudes
     return lambda t: v @ (np.exp(-1j * w * t / _HBAR) * coeff)
 
 
-def propagate_eigen(H: HermitianOperator, psi0: StateVector, t_fs: float,
-                    dim_cap: int = PropagatorConfig.eigen_dim_cap
+def propagate_eigen(H: HermitianOperator, psi0: StateVector, t_fs: float
                     ) -> StateVector:
     """Exact evolution psi(t) = V exp(-i L t / hbar) V^dag psi0."""
     if H.basis != psi0.basis:
         raise BasisError("operator and state live on different bases")
-    return StateVector(psi0.basis, _eigen_route(H, psi0, dim_cap)(t_fs))
+    return StateVector(psi0.basis, _eigen_route(H, psi0)(t_fs))
 
 
 class _ChebyshevStepper:
@@ -135,35 +135,44 @@ class _ChebyshevStepper:
         return self.phase * acc
 
 
+def _interval_count(total_time_fs: float, sample_every_fs: float) -> int:
+    """K = ceil(T / D), forgiving a relative rounding error of 1e-12 in T / D;
+    refused above MAX_INTERVALS before anything is allocated."""
+    if total_time_fs == 0:
+        return 0
+    ratio = total_time_fs / sample_every_fs
+    if not ratio <= MAX_INTERVALS:
+        raise DomainError(
+            f"sampling {total_time_fs:.6g} fs every {sample_every_fs:.6g} fs "
+            f"takes more than {MAX_INTERVALS} intervals; raise sample_every_fs")
+    return max(math.ceil(ratio * (1.0 - 1e-12)), 1)
+
+
 def propagate(H: HermitianOperator, psi0: StateVector, total_time_fs: float,
               config: PropagatorConfig | None = None) -> Trajectory:
     """Evolve psi0 for total_time_fs, sampling populations, <n>, entropy, norm.
 
-    Samples sit at k * sample_every for k = 0 .. floor(T / sample_every); the
-    final state is evolved through the full duration.  Norm drift beyond
-    config.norm_tol aborts with a step-size diagnostic.
+    The duration T is split into K = ceil(T / sample_every) equal intervals,
+    sample_every defaulting to T / 200, and the samples sit at T k / K for
+    k = 0 .. K: the first is psi0 and the last, at T, is the final state.
+    EIGEN_ORACLE evaluates the exact evolution at each sample time; FIXED_STEP
+    applies one Chebyshev step of T / K per interval.  Norm drift beyond
+    config.norm_tol at any sample aborts with a step-size diagnostic.
     """
-    if total_time_fs < 0:
+    if not total_time_fs >= 0:
         raise DomainError("total_time must be >= 0")
     cfg = config or PropagatorConfig()
     basis = psi0.basis
     if H.basis != basis:
         raise BasisError("operator and state live on different bases")
+    intervals = _interval_count(
+        total_time_fs, cfg.sample_every_fs or total_time_fs / 200.0)
 
-    if total_time_fs == 0:
-        n_samples = 1
-        sample_dt = 0.0
-    else:
-        sample_dt = cfg.sample_every_fs or total_time_fs / 200.0
-        if sample_dt <= 0:
-            raise DomainError("sample_every_fs must be positive")
-        n_samples = int(math.floor(total_time_fs / sample_dt + 1e-12)) + 1
-
-    times = np.array([k * sample_dt for k in range(n_samples)])
-    pops = np.empty((n_samples, basis.num_electrons, basis.sideband_count))
-    ph_mean = np.empty(n_samples)
-    entropy = np.empty(n_samples)
-    norms = np.empty(n_samples)
+    times = np.linspace(0.0, total_time_fs, intervals + 1)
+    pops = np.empty((times.size, basis.num_electrons, basis.sideband_count))
+    ph_mean = np.empty(times.size)
+    entropy = np.empty(times.size)
+    norms = np.empty(times.size)
 
     def record(k: int, amps: np.ndarray):
         p, ph, s, nrm = _sample_metrics(basis, amps)
@@ -175,34 +184,18 @@ def propagate(H: HermitianOperator, psi0: StateVector, total_time_fs: float,
 
     psi0.require_normalized(max(cfg.norm_tol, 1e-9))
 
+    amps = psi0.amplitudes.copy()
     if cfg.method == EIGEN_ORACLE:
-        evolve = _eigen_route(H, psi0, cfg.eigen_dim_cap)
-        for k, t in enumerate(times):
-            record(k, evolve(t))
-        final = evolve(total_time_fs)
-    else:
-        amps = psi0.amplitudes.copy()
-        record(0, amps)
-        if n_samples > 1:
-            sub = 1
-            if cfg.step_dt_fs is not None and cfg.step_dt_fs < sample_dt:
-                sub = int(math.ceil(sample_dt / cfg.step_dt_fs - 1e-12))
-            stepper = _ChebyshevStepper(H, sample_dt / sub)
-            for k in range(1, n_samples):
-                for _ in range(sub):
-                    amps = stepper.step(amps)
-                record(k, amps)
-        # residual stretch between the last sample and the full duration
-        residual = total_time_fs - times[-1]
-        if residual > 1e-12 * max(total_time_fs, 1.0):
-            amps = _ChebyshevStepper(H, residual).step(amps)
-        final = amps
+        evolve = _eigen_route(H, psi0)
+    elif intervals:
+        step = _ChebyshevStepper(H, total_time_fs / intervals).step
+    for k, t in enumerate(times):
+        if cfg.method == EIGEN_ORACLE:
+            amps = evolve(t)
+        elif k:
+            amps = step(amps)
+        record(k, amps)
 
-    final_state = StateVector(basis, final)
-    if not abs(final_state.norm - 1.0) <= cfg.norm_tol:
-        raise PropagationError(
-            f"final-state norm drift {abs(final_state.norm - 1.0):.3e} "
-            f"exceeds {cfg.norm_tol:.1e}: step too large")
     return Trajectory(times_fs=times, populations=pops, photon_mean=ph_mean,
                       entropy_nats=entropy, norm=norms,
-                      final_state=final_state, basis=basis)
+                      final_state=StateVector(basis, amps), basis=basis)

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 import warnings
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from feqo_lab.cli.config import (DYNAMIC_KEYS, SCENARIO_KEYS, format_config,
 from feqo_lab.cli.main import cli
 from feqo_lab.errors import DomainError
 from feqo_lab.hilbert import (StateVector, basis_ket, make_basis,
-                              partial_trace, qubit_window)
+                              partial_trace, photon_number_mean, qubit_window)
 
 UNITLESS_KEYS = {
     "gamma", "fidelity", "ideal_jc_fidelity", "fidelity_post_virtual_z",
@@ -370,6 +371,41 @@ class TestRunners:
                         fmt="json")
         assert swap.metrics["duration_fs"] == 0
 
+    def test_gate_end_metrics_read_the_final_state(self, tmp_path,
+                                                   monkeypatch):
+        # rz(1.0) is three pulses whose lengths are not multiples of the
+        # run-wide sample gap; every trajectory still ends at its segment's end
+        execute = gates.execute
+        calls = []
+
+        def recording(schedule, *args, **kwargs):
+            calls.append((schedule, execute(schedule, *args, **kwargs)))
+            return calls[-1][1]
+        monkeypatch.setattr(gates, "execute", recording)
+        record = run_gate("rz", 1.0, out_dir=tmp_path, fmt="json")
+        pinem = calls[0][1]
+        assert record.metrics["photon_mean_final"] == pytest.approx(
+            photon_number_mean(pinem.final_state), rel=1e-12)
+        for schedule, result in calls:
+            durations = [seg.duration_fs for seg in schedule.segments
+                         if seg.duration_fs > 0]
+            assert len(durations) == len(result.trajectories) == 3
+            for duration, traj in zip(durations, result.trajectories):
+                assert traj.times_fs[-1] == duration
+
+    @pytest.mark.parametrize("method", ["eigen", "fixed_step"])
+    @pytest.mark.parametrize("gap", ["10", "100000"])
+    def test_sample_gap_leaves_gate_end_metrics(self, tmp_path, method, gap):
+        # a gap that does not divide the pulse, and one longer than it, give
+        # the default run's photon mean at the pulse's end
+        record = run_experiment("fig2a", out_dir=tmp_path, fmt="json", sets=[
+            f"propagator.method={method}",
+            f"propagator.sample_every_fs={gap}"])
+        metrics = record.metrics
+        assert metrics["photon_mean_final"] == pytest.approx(99.00615905776,
+                                                             abs=1e-9)
+        assert metrics["leakage_max"] >= metrics["leakage_final"]
+
     def test_partial_iswap_angle_from_set(self, tmp_path):
         # pi/4 is a preset default, so --set may change it
         default = run_gate("partial_iswap", out_dir=tmp_path / "a", fmt="json")
@@ -506,6 +542,17 @@ class TestCliEntry:
                                      str(tmp_path), "--set",
                                      "electron.beta=2.0"])
         assert result.exit_code == 2
+
+    def test_sample_count_bound_exit_code(self, tmp_path):
+        # about 4.3e10 samples: refused before any of them is allocated
+        start = time.perf_counter()
+        result = CliRunner().invoke(cli, [
+            "run", "fig2a", "--out", str(tmp_path), "--set",
+            "propagator.sample_every_fs=1e-9"])
+        assert result.exit_code == 2, result.output
+        assert "raise sample_every_fs" in result.output
+        assert time.perf_counter() - start < 30.0
+        assert not any(tmp_path.iterdir())
 
     def test_numerics_exit_code(self, tmp_path):
         # fock cutoff far below the coherent-state support

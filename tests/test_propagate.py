@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import math
 
 import numpy as np
@@ -90,14 +91,19 @@ class TestFailClosed:
     def test_nan_final_state_rejected(self, vacuum_block, monkeypatch):
         basis, h = vacuum_block
         step = _ChebyshevStepper.step
-        # samples at 0, 1, 2 fs stay finite; the 0.5 fs residual step breaks
-        monkeypatch.setattr(
-            _ChebyshevStepper, "step",
-            lambda self, v: step(self, v) if self.dt > 0.75
-            else np.full_like(v, np.nan))
-        with pytest.raises(PropagationError, match="final-state norm"):
+        calls = []
+
+        # samples at 0, 5/6 and 5/3 fs stay finite; the last step, to 2.5 fs,
+        # breaks
+        def third_step_breaks(self, v):
+            calls.append(self.dt)
+            return step(self, v) if len(calls) < 3 else np.full_like(v, np.nan)
+
+        monkeypatch.setattr(_ChebyshevStepper, "step", third_step_breaks)
+        with pytest.raises(PropagationError, match="norm drift nan at t = 2.5"):
             propagate(h, basis_ket(basis, (0.5,), 0), 2.5, PropagatorConfig(
                 method=FIXED_STEP, sample_every_fs=1.0))
+        assert calls == [2.5 / 3] * 3
 
 
 class TestVacuumRabi:
@@ -189,7 +195,7 @@ class TestAccuracy:
 
 class TestSamplingContract:
     @pytest.mark.parametrize("total,step,expected", [
-        (10.0, 1.0, 11), (10.0, 3.0, 4), (7.5, 2.0, 4), (1.0, 2.0, 1),
+        (10.0, 1.0, 11), (10.0, 3.0, 5), (7.5, 2.0, 5), (1.0, 2.0, 2),
     ])
     def test_sample_count(self, vacuum_block, total, step, expected):
         basis, h = vacuum_block
@@ -206,41 +212,54 @@ class TestSamplingContract:
         assert np.max(np.abs(traj.final_state.amplitudes
                              - exact.amplitudes)) < 1e-12
 
-    def test_substeps(self, vacuum_block):
+    def test_interval_count_bound(self, vacuum_block, monkeypatch):
         basis, h = vacuum_block
-        traj = propagate(h, basis_ket(basis, (0.5,), 0), 10.0,
-                         PropagatorConfig(method=FIXED_STEP, step_dt_fs=0.3,
-                                          sample_every_fs=1.0))
-        assert len(traj.times_fs) == 11
+        psi0 = basis_ket(basis, (0.5,), 0)
+        monkeypatch.setattr(importlib.import_module("feqo_lab.propagate"),
+                            "MAX_INTERVALS", 4)
+        traj = propagate(h, psi0, 10.0, PropagatorConfig(sample_every_fs=2.5))
+        assert len(traj.times_fs) == 5
+        for gap in (2.4, 1e-300):
+            with pytest.raises(DomainError, match="more than 4 intervals"):
+                propagate(h, psi0, 10.0, PropagatorConfig(sample_every_fs=gap))
 
     def test_invalid_config(self):
         with pytest.raises(DomainError):
             PropagatorConfig(method="leapfrog")
-        with pytest.raises(DomainError):
-            PropagatorConfig(step_dt_fs=2.0, sample_every_fs=1.0)
+        for gap in (0.0, -1.0, math.nan):
+            with pytest.raises(DomainError):
+                PropagatorConfig(sample_every_fs=gap)
 
 
 class TestDimensionCap:
-    def test_eigen_cap_directs_to_fixed_step(self, rng):
+    @staticmethod
+    def set_cap(monkeypatch, cap):
+        monkeypatch.setattr(importlib.import_module("feqo_lab.propagate"),
+                            "EIGEN_DIM_CAP", cap)
+
+    def test_eigen_cap_directs_to_fixed_step(self, rng, monkeypatch):
         basis = make_basis(1, qubit_window(), 7)
         h = random_hermitian(rng, basis, scale=0.2)
         psi0 = StateVector(basis, random_state(rng, basis.dimension))
+        self.set_cap(monkeypatch, 4)
         with pytest.raises(PropagationError, match="FIXED_STEP"):
-            propagate(h, psi0, 1.0, PropagatorConfig(eigen_dim_cap=4))
+            propagate(h, psi0, 1.0)
         with pytest.raises(PropagationError, match="FIXED_STEP"):
-            propagate_eigen(h, psi0, 1.0, dim_cap=4)
+            propagate_eigen(h, psi0, 1.0)
 
-    def test_cap_bounds_the_largest_block(self, rng):
+    def test_cap_bounds_the_largest_block(self, rng, monkeypatch):
         # a 16-state JC ladder has blocks of at most 2 states
         basis = make_basis(1, qubit_window(), 7)
         h = build_jc_interaction(0.05, basis)
         psi0 = StateVector(basis, random_state(rng, basis.dimension))
-        propagate_eigen(h, psi0, 1.0, dim_cap=2)
+        self.set_cap(monkeypatch, 2)
+        propagate_eigen(h, psi0, 1.0)
+        self.set_cap(monkeypatch, 1)
         with pytest.raises(PropagationError, match=r"\b2 states.*cap 1\b"):
-            propagate(h, psi0, 1.0, PropagatorConfig(eigen_dim_cap=1))
+            propagate(h, psi0, 1.0)
 
     def test_three_electron_pinem_runs_on_the_eigen_route(self, strong_params,
-                                                          rng):
+                                                          rng, monkeypatch):
         # 6696 states, above the default cap, in blocks of at most 216
         basis = make_basis(3, default_window(6), 30)
         h = build_pinem(strong_params, basis)
@@ -253,8 +272,9 @@ class TestDimensionCap:
         assert np.max(np.abs(eigen.final_state.amplitudes
                              - fixed.final_state.amplitudes)) < 1e-9
         assert np.max(np.abs(eigen.populations - fixed.populations)) < 1e-10
+        self.set_cap(monkeypatch, 215)
         with pytest.raises(PropagationError, match=r"\b216 states"):
-            propagate(h, psi0, 2.0, PropagatorConfig(eigen_dim_cap=215))
+            propagate(h, psi0, 2.0)
 
 
 def _block_cases(p, p_b):

@@ -32,6 +32,10 @@ RUNS = [
       for name in ("params_only", "smith_purcell", *_DYNAMIC)),
     *((f"run-{name}-fixed_step", "run_experiment", [name],
        ["propagator.method=fixed_step"]) for name in _DYNAMIC),
+    # a sample gap that does not divide the run time, on each route
+    *((f"run-fig2a-gap10-{method}", "run_experiment", ["fig2a"],
+       [f"propagator.method={method}", "propagator.sample_every_fs=10"])
+      for method in ("eigen", "fixed_step")),
     *((f"gate-{gate}", "run_gate", [gate], [])
       for gate in ("rx", "ry", "rz", "iswap", "partial_iswap")),
     ("gate-rz-1.0", "run_gate", ["rz", 1.0], []),
