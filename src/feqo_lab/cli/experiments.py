@@ -211,21 +211,30 @@ def _refine_peak(ts: np.ndarray, ys: np.ndarray) -> float:
     return float(-c[1] / (2.0 * c[0]))
 
 
-def _electron_ket(cfg_initial: str, window) -> np.ndarray:
-    label = hilbert.E_LABEL if cfg_initial == "e" else hilbert.G_LABEL
-    v = np.zeros(len(window), dtype=np.complex128)
-    v[list(window).index(label)] = 1.0
-    return v
+def _pinem_vs_jc(cfg: ScenarioConfig, params, schedule: gates.GateSchedule,
+                 ideal_target=None):
+    """Execute schedule from gate.initial times the coherent drive on the
+    full PINEM model and on the quantized ideal JC (the bare +-1/2 pair).
 
+    Returns (PINEM result, JC result, rms of their qubit populations).
+    """
+    basis = cfg.to_basis()
+    photon = hilbert.coherent_state(cfg.alpha(), basis.fock_cutoff)
+    label = (hilbert.E_LABEL if cfg.values["gate.initial"] == "e"
+             else hilbert.G_LABEL)
+    prop = cfg.to_propagator(schedule.wall_time_fs)
 
-def _with_jc_reference(basis, init_label: str, photon: np.ndarray
-                       ) -> tuple[StateVector, StateVector]:
-    """One electron in init_label times the photon factor, on basis and on
-    its bare +-1/2 reduction (the quantized ideal-JC reference)."""
-    basis_jc = hilbert.make_basis(1, hilbert.qubit_window(), basis.fock_cutoff)
-    return tuple(hilbert.tensor_product(
-        b, [_electron_ket(init_label, b.sideband_indices), photon])
-        for b in (basis, basis_jc))
+    def run(kind: ModelKind, b: hilbert.BasisSpec) -> gates.GateResult:
+        ket = (np.asarray(b.sideband_indices) == label).astype(np.complex128)
+        return gates.execute(schedule, hilbert.tensor_product(b, [ket, photon]),
+                             params, model=kind, ideal_target=ideal_target,
+                             config=prop)
+    full = run(ModelKind.PINEM_FULL, basis)
+    jc = run(ModelKind.JC_INTERACTION,
+             hilbert.make_basis(1, hilbert.qubit_window(), basis.fock_cutoff))
+    rms = _rms(full.trajectory.computational_populations()[:, 0, :],
+               jc.trajectory.computational_populations()[:, 0, :])
+    return full, jc, rms
 
 
 # ----------------------------------------------------------------------
@@ -266,7 +275,6 @@ def _resonant_gate_run(cfg: ScenarioConfig, params, record, out: Path):
     """fig2a / fig2a_strong / gate rx|ry|rz: full-model gate vs the ideal JC
     dynamics."""
     name = record.experiment
-    basis = cfg.to_basis()
     alpha = cfg.alpha()
     g = params.coupling.g_rad_per_fs
     theta = cfg.values["gate.theta_rad"]
@@ -280,29 +288,13 @@ def _resonant_gate_run(cfg: ScenarioConfig, params, record, out: Path):
     total = schedule.wall_time_fs
     if total == 0:
         raise DomainError(f"{name}: {gate_type}({theta}) takes no time")
-    prop = cfg.to_propagator(total)
-
-    photon = hilbert.coherent_state(alpha, basis.fock_cutoff)
-    init_label = cfg.values["gate.initial"]
-    psi0, psi0_jc = _with_jc_reference(basis, init_label, photon)
 
     # semiclassical 2x2 target in the (e, g) ordering
-    q0 = np.array([1.0, 0.0] if init_label == "e" else [0.0, 1.0],
-                  dtype=np.complex128)
+    q0 = np.array([1.0, 0.0] if cfg.values["gate.initial"] == "e"
+                  else [0.0, 1.0], dtype=np.complex128)
     target = gates.semiclassical_unitary(schedule) @ q0
-
-    result = gates.execute(schedule, psi0, params, model=ModelKind.PINEM_FULL,
-                           ideal_target=target, config=prop)
-
-    # quantized ideal-JC reference on the bare qubit pair
-    result_jc = gates.execute(schedule, psi0_jc, params,
-                              model=ModelKind.JC_INTERACTION,
-                              ideal_target=target, config=prop)
-
-    traj = result.trajectories[-1]
-    traj_jc = result_jc.trajectories[-1]
-    rms = _rms(traj.computational_populations()[:, 0, :],
-               traj_jc.computational_populations()[:, 0, :])
+    result, result_jc, rms = _pinem_vs_jc(cfg, params, schedule, target)
+    traj, traj_jc = result.trajectory, result_jc.trajectory
 
     record.metrics.update({
         "duration_fs": total,
@@ -389,6 +381,7 @@ def _run_fig2b(cfg: ScenarioConfig, params, record, out: Path):
     e_col = list(basis.sideband_indices).index(hilbert.E_LABEL)
     p2e = probe.populations[:, 1, e_col]
     peak = _refine_peak(probe.times_fs, p2e)
+    traj = result.trajectory
 
     record.metrics.update({
         "T_iswap_fs": total,
@@ -398,9 +391,8 @@ def _run_fig2b(cfg: ScenarioConfig, params, record, out: Path):
         "transfer_peak_rel_dev": abs(peak - total) / total,
         "entropy_nats": result.entropy_nats,
         "leakage_final": result.leakage,
-        "photon_mean_final": float(result.trajectories[-1].photon_mean[-1]),
+        "photon_mean_final": float(traj.photon_mean[-1]),
     })
-    traj = result.trajectories[-1]
     return ({"": traj, "_probe": probe},
             ("fig2b: dispersive iSWAP populations", traj.times_fs,
              _plot_series(traj, "TC")))
@@ -419,8 +411,8 @@ def _run_register_gate(cfg: ScenarioConfig, params, record, out: Path):
         "leakage_final": result.leakage,
         "entropy_nats": result.entropy_nats,
     })
-    trajs = result.trajectories
-    return {"": trajs[-1]} if trajs else {}, None
+    traj = result.trajectory
+    return {"": traj} if traj is not None else {}, None
 
 
 def _run_fig3(cfg: ScenarioConfig, params, record, out: Path):
@@ -476,37 +468,25 @@ def _run_fig3(cfg: ScenarioConfig, params, record, out: Path):
         hilbert.DensityOperator(rho_c), out / "fig3_rho_corrected.json",
         qubit_subset=(0, 1) if wide else None))
 
-    trajs = result.trajectories
-    return ({f"_gate{j}": t for j, t in enumerate(trajs, start=1)},
-            ("fig3: W-state preparation, gate 1", trajs[0].times_fs,
-             _plot_series(trajs[0], "gate1")))
+    traj = result.trajectory
+    return ({"": traj}, ("fig3: W-state preparation", traj.times_fs,
+                         _plot_series(traj, "TC")))
 
 
 def _run_collapse_revival(cfg: ScenarioConfig, params, record, out: Path):
     """s1_bragg / s2_ramannath: full model vs ideal JC vs the exact series."""
-    basis = cfg.to_basis()
     alpha = cfg.alpha()
     g = params.coupling.g_rad_per_fs
-    total = cfg.values["run.total_time_fs"]
-    prop = cfg.to_propagator(total)
     init_label = cfg.values["gate.initial"]
-
-    photon = hilbert.coherent_state(alpha, basis.fock_cutoff)
-    psi0, psi0_jc = _with_jc_reference(basis, init_label, photon)
-    h_full = hamiltonian.build_model(ModelKind.PINEM_FULL, params, basis)
-    traj = propagate_state(h_full, psi0, total, prop)
-
-    basis_jc = psi0_jc.basis
-    h_jc = hamiltonian.build_model(ModelKind.JC_INTERACTION, params, basis_jc)
-    traj_jc = propagate_state(h_jc, psi0_jc, total, prop)
+    schedule = gates.GateSchedule(segments=(gates.ScheduleSegment(
+        ModelKind.PINEM_FULL, cfg.values["run.total_time_fs"]),))
+    result, result_jc, rms_full = _pinem_vs_jc(cfg, params, schedule)
+    traj, traj_jc = result.trajectory, result_jc.trajectory
 
     series = analytics.pe_exact_sum(alpha, g, traj.times_fs,
                                     initial=init_label)
-    e_col_jc = list(basis_jc.sideband_indices).index(hilbert.E_LABEL)
-    pe_jc = traj_jc.populations[:, 0, e_col_jc]
-    rms_series = _rms(series, pe_jc)
-    rms_full = _rms(traj.computational_populations()[:, 0, :],
-                    traj_jc.computational_populations()[:, 0, :])
+    # computational columns are (g, e)
+    rms_series = _rms(series, traj_jc.computational_populations()[:, 0, 1])
 
     pred = analytics.collapse_revival_times(alpha, g)
     window = np.linspace(0.75 * pred.t_rev_fs, 1.25 * pred.t_rev_fs, 1200)
@@ -550,7 +530,7 @@ def _run_wstate_analog(cfg: ScenarioConfig, params, record, out: Path):
 
     result = gates.execute(schedule, psi0, params, ideal_target=w_target,
                            config=prop)
-    traj = result.trajectories[-1]
+    traj = result.trajectory
     record.metrics.update({
         "T_TC_fs": total,
         "fidelity_w": result.fidelity,

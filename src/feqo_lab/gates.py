@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -81,7 +83,9 @@ class GateSchedule:
 
     @property
     def wall_time_fs(self) -> float:
-        return float(sum(seg.duration_fs for seg in self.segments))
+        # added in segment order, as execute joins its trajectory's times
+        # (sum() compensates float rounding from Python 3.12 on)
+        return reduce(add, (seg.duration_fs for seg in self.segments), 0.0)
 
 
 @dataclass
@@ -100,11 +104,13 @@ class StateScore:
 
 @dataclass
 class GateResult(StateScore):
-    """Post-execution state of one schedule and the score of its final state."""
+    """Post-execution state of one schedule and the score of its final state.
+    trajectory samples the whole schedule, from t = 0 to wall_time_fs (None
+    when no segment takes time); segment_states are as execute keeps them."""
 
     final_state: StateVector
     wall_time_fs: float
-    trajectories: list[Trajectory] = field(default_factory=list)
+    trajectory: Trajectory | None = None
     segment_states: list[StateVector] = field(default_factory=list)
 
 
@@ -275,13 +281,15 @@ def execute(schedule: GateSchedule, initial_state: StateVector,
     phases exp(+i sum_k diag(H_k) T_k / hbar) are removed before scoring, so
     fidelities compare against interaction-picture targets.  The state after
     each segment is kept in that frame as segment_states; the last one is the
-    final state that score_state scores against ideal_target.
+    final state that score_state scores against ideal_target.  The segments'
+    samples join into one trajectory over the schedule (Trajectory.then);
+    zero-length segments propagate nothing and add no sample.
     """
     basis = initial_state.basis
     amps = initial_state.amplitudes.copy()
     applied_phase = 0.0
     diag_accum = np.zeros(basis.dimension)
-    trajectories: list[Trajectory] = []
+    trajectory: Trajectory | None = None
     segment_states: list[StateVector] = []
 
     for seg in schedule.segments:
@@ -295,7 +303,7 @@ def execute(schedule: GateSchedule, initial_state: StateVector,
             H = build_model(kind, params, basis, active=seg.active_electrons)
             traj = propagate(H, StateVector(basis, amps), seg.duration_fs,
                              config)
-            trajectories.append(traj)
+            trajectory = traj if trajectory is None else trajectory.then(traj)
             amps = traj.final_state.amplitudes
             diag_accum += H.diagonal() * seg.duration_fs
         if seg.virtual_z_after:
@@ -307,7 +315,7 @@ def execute(schedule: GateSchedule, initial_state: StateVector,
     final = segment_states[-1] if segment_states else StateVector(basis, amps)
     return GateResult(**vars(score_state(final, ideal_target)),
                       final_state=final, wall_time_fs=schedule.wall_time_fs,
-                      trajectories=trajectories, segment_states=segment_states)
+                      trajectory=trajectory, segment_states=segment_states)
 
 
 def score_state(state: StateVector,

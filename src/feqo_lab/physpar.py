@@ -82,10 +82,9 @@ def wavelength_nm(omega_rad_per_fs: float) -> float:
 
 @dataclass(frozen=True)
 class ElectronParams:
-    """Electron kinematics.  beta is authoritative; E0_eV is metadata only."""
+    """Electron kinematics, all derived from beta."""
 
     beta: float
-    E0_eV: float | None
     gamma: float
     v0_m_per_s: float
     k0_per_m: float
@@ -96,11 +95,10 @@ class ElectronParams:
         return self.v0_m_per_s * 1e-6
 
 
-def derive_electron(beta: float, E0_eV: float | None = None) -> ElectronParams:
+def derive_electron(beta: float) -> ElectronParams:
     """Expand the relativistic dispersion around the injection momentum.
 
-    beta must lie strictly inside (0, 1); the stored center energy is
-    informational and never enters derived quantities.
+    beta must lie strictly inside (0, 1).
     """
     if not 0.0 < beta < 1.0:
         raise DomainError(f"beta must be in (0, 1), got {beta}")
@@ -108,7 +106,7 @@ def derive_electron(beta: float, E0_eV: float | None = None) -> ElectronParams:
     v0 = beta * CODATA2018.c
     p0 = gamma * CODATA2018.m_e * v0
     k0 = p0 / CODATA2018.hbar_J_s
-    return ElectronParams(beta=beta, E0_eV=E0_eV, gamma=gamma,
+    return ElectronParams(beta=beta, gamma=gamma,
                           v0_m_per_s=v0, k0_per_m=k0, p0_kg_m_per_s=p0)
 
 
@@ -248,7 +246,6 @@ class ScenarioParams:
 
 
 def make_scenario(*, beta: float, photon_energy_eV: float,
-                  E0_eV: float | None = None,
                   alpha: complex = 0j,
                   grating_period_nm: float | None = None,
                   phase_match_photon_energy_eV: float | None = None,
@@ -267,7 +264,7 @@ def make_scenario(*, beta: float, photon_energy_eV: float,
     """
     if photon_energy_eV <= 0:
         raise DomainError("photon energy must be positive")
-    electron = derive_electron(beta, E0_eV)
+    electron = derive_electron(beta)
     omega_L = ev_to_rad_per_fs(photon_energy_eV)
 
     if grating_period_nm is None:
@@ -313,14 +310,13 @@ def make_scenario(*, beta: float, photon_energy_eV: float,
 
 
 def sideband_energy(n: float, params: ScenarioParams) -> float:
-    """On-site energy E_n = E0 + n*hbar*v0*q + n^2*hbar*omega_rec, in eV.
+    """On-site energy E_n = n*hbar*v0*q + n^2*hbar*omega_rec, in eV.
 
-    Physical dispersion; the builder-level dispersion_scale does not enter
-    here.  E0 defaults to 0 when the scenario carries no center energy.
+    Measured from the injection energy, which cancels from every energy
+    difference.  Physical dispersion; the builder-level dispersion_scale does
+    not enter here.
     """
-    e0 = params.electron.E0_eV or 0.0
-    return (e0
-            + n * _HBAR * params.qubit_splitting_rad_per_fs
+    return (n * _HBAR * params.qubit_splitting_rad_per_fs
             + n * n * _HBAR * params.coupling.omega_rec_rad_per_fs)
 
 

@@ -50,7 +50,7 @@ class PropagatorConfig:
 
 @dataclass
 class Trajectory:
-    """Sampled observables along one constant-Hamiltonian evolution."""
+    """Sampled observables along one propagation, or along several joined."""
 
     times_fs: np.ndarray
     populations: np.ndarray          # (n_samples, num_electrons, n_sidebands)
@@ -69,6 +69,19 @@ class Trajectory:
     def leakage(self) -> np.ndarray:
         """Per-sample leakage outside +-1/2, averaged over electrons."""
         return sideband_leakage(self.populations, self.basis)
+
+    def then(self, later: Trajectory) -> Trajectory:
+        """This trajectory, then `later` shifted to start at its end, without
+        later's first sample: it repeats this one's last up to frame phases,
+        which change no sampled observable."""
+        def join(a, b):
+            return np.concatenate([a, b[1:]])
+        return Trajectory(
+            join(self.times_fs, self.times_fs[-1] + later.times_fs),
+            join(self.populations, later.populations),
+            join(self.photon_mean, later.photon_mean),
+            join(self.entropy_nats, later.entropy_nats),
+            join(self.norm, later.norm), later.final_state, self.basis)
 
 
 def _sample_metrics(basis, amps: np.ndarray):

@@ -86,7 +86,7 @@ def s2_record(outdir):
 
 def test_criterion_1_parameter_pipeline():
     t0 = time.monotonic()
-    params = make_scenario(beta=0.02, photon_energy_eV=6.20, E0_eV=100.0,
+    params = make_scenario(beta=0.02, photon_energy_eV=6.20,
                            alpha=10.0, box_edge_nm=100.0)
     ez = params.mode.E_z_tilde_V_per_m
     ratio = params.coupling.g_over_omega
@@ -215,7 +215,7 @@ def test_criterion_9_smith_purcell(outdir):
 
 def _acceptance_scenarios():
     """(name, H, psi0, total_time) for every dynamic acceptance scenario."""
-    fig2a = make_scenario(beta=0.02, photon_energy_eV=6.20, E0_eV=100.0,
+    fig2a = make_scenario(beta=0.02, photon_energy_eV=6.20,
                           alpha=10.0, box_edge_nm=100.0,
                           dispersion_scale=100.0)
     strong = dataclasses.replace(
@@ -223,14 +223,14 @@ def _acceptance_scenarios():
                                         E_z_tilde_V_per_m=5.0e8),
         coupling=make_scenario(beta=0.02, photon_energy_eV=6.20,
                                E_z_tilde_V_per_m=5.0e8).coupling)
-    fig2b = make_scenario(beta=0.02, photon_energy_eV=6.24, E0_eV=100.0,
+    fig2b = make_scenario(beta=0.02, photon_energy_eV=6.24,
                           phase_match_photon_energy_eV=6.20,
                           E_z_tilde_V_per_m=7.58e6)
-    fig3 = make_scenario(beta=0.02, photon_energy_eV=6.2434, E0_eV=100.0,
+    fig3 = make_scenario(beta=0.02, photon_energy_eV=6.2434,
                          phase_match_photon_energy_eV=6.20,
                          E_z_tilde_V_per_m=7.58e6)
     s1 = dataclasses.replace(strong)
-    s2 = make_scenario(beta=0.05, photon_energy_eV=6.20, E0_eV=100.0,
+    s2 = make_scenario(beta=0.05, photon_energy_eV=6.20,
                        E_z_tilde_V_per_m=1.0e9, dispersion_scale=100.0)
 
     out = []

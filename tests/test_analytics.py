@@ -14,13 +14,13 @@ from feqo_lab.analytics import BRAGG, DISPERSIVE, RAMAN_NATH
 
 @pytest.fixture(scope="module")
 def s1_params():
-    return make_scenario(beta=0.02, photon_energy_eV=6.20, E0_eV=100.0,
+    return make_scenario(beta=0.02, photon_energy_eV=6.20,
                          alpha=3.0, E_z_tilde_V_per_m=5.0e8)
 
 
 @pytest.fixture(scope="module")
 def rn_params():
-    return make_scenario(beta=0.05, photon_energy_eV=6.20, E0_eV=100.0,
+    return make_scenario(beta=0.05, photon_energy_eV=6.20,
                          alpha=3.0, E_z_tilde_V_per_m=1.0e9)
 
 

@@ -373,8 +373,9 @@ class TestRunners:
 
     def test_gate_end_metrics_read_the_final_state(self, tmp_path,
                                                    monkeypatch):
-        # rz(1.0) is three pulses whose lengths are not multiples of the
-        # run-wide sample gap; every trajectory still ends at its segment's end
+        # rz is three pulses whose lengths are not multiples of the run-wide
+        # sample gap; each model's trajectory still spans the whole gate, and
+        # the metrics read all of it
         execute = gates.execute
         calls = []
 
@@ -382,16 +383,24 @@ class TestRunners:
             calls.append((schedule, execute(schedule, *args, **kwargs)))
             return calls[-1][1]
         monkeypatch.setattr(gates, "execute", recording)
-        record = run_gate("rz", 1.0, out_dir=tmp_path, fmt="json")
-        pinem = calls[0][1]
-        assert record.metrics["photon_mean_final"] == pytest.approx(
-            photon_number_mean(pinem.final_state), rel=1e-12)
-        for schedule, result in calls:
-            durations = [seg.duration_fs for seg in schedule.segments
-                         if seg.duration_fs > 0]
-            assert len(durations) == len(result.trajectories) == 3
-            for duration, traj in zip(durations, result.trajectories):
-                assert traj.times_fs[-1] == duration
+        for theta in (1.0, None):
+            calls.clear()
+            record = run_gate("rz", theta, out_dir=tmp_path / str(theta),
+                              fmt="json")
+            (schedule, pinem), (_, jc) = calls
+            assert record.metrics["photon_mean_final"] == pytest.approx(
+                photon_number_mean(pinem.final_state), rel=1e-12)
+            for result in (pinem, jc):
+                times = result.trajectory.times_fs
+                assert np.all(np.diff(times) > 0)
+                assert times[-1] == schedule.wall_time_fs
+                assert theta is None or times.size == 202
+            pops = [r.trajectory.computational_populations()[:, 0, :]
+                    for r in (pinem, jc)]
+            rms = np.sqrt(np.mean((pops[0] - pops[1]) ** 2))
+            assert record.metrics["rms_vs_ideal_jc"] == rms
+            if theta == 1.0:
+                assert rms == pytest.approx(7.384228e-6, rel=1e-6)
 
     @pytest.mark.parametrize("method", ["eigen", "fixed_step"])
     @pytest.mark.parametrize("gap", ["10", "100000"])
@@ -600,6 +609,17 @@ class TestCliEntry:
         assert len(corrected["basis_labels"]) == 4
         summary = json.loads((tmp_path / "fig3_summary.json").read_text())
         assert summary["metrics"] == record.metrics
+
+    def test_wstate_digital_writes_one_trajectory(self, tmp_path):
+        # one CSV spans the whole preparation, from t = 0 to the last gate's end
+        record = run_wstate(4, "digital", out_dir=tmp_path)
+        csvs = sorted(p.name for p in tmp_path.glob("*_trajectory.csv"))
+        assert csvs == ["fig3_trajectory.csv"]
+        assert not list(tmp_path.glob("fig3_gate*"))
+        rows = (tmp_path / "fig3_trajectory.csv").read_text().splitlines()
+        t_fs = [row.split(",")[0] for row in rows[1:]]
+        assert t_fs[0] == "0"
+        assert t_fs[-1] == f"{record.metrics['T_total_fs']:.9g}"
 
     def test_wstate_digital_executes_each_gate_once(self, tmp_path,
                                                     monkeypatch):

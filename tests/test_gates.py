@@ -299,7 +299,7 @@ class TestExecute:
                     fock_ket(0, 3)])
         res = execute(sched, psi0, fig2b_params,
                       config=PropagatorConfig(sample_every_fs=sched.wall_time_fs / 100))
-        traj = res.trajectories[0]
+        traj = res.trajectory
         window = np.asarray(basis.sideband_indices)
         exc = (traj.populations * window[None, None, :]).sum(axis=(1, 2)) \
             + traj.photon_mean

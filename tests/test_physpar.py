@@ -20,7 +20,7 @@ def test_hbar_forms_consistent():
 
 class TestDeriveElectron:
     def test_beta_002(self):
-        el = derive_electron(0.02, E0_eV=100.0)
+        el = derive_electron(0.02)
         # direct evaluation of 1/sqrt(1-b^2) and b*c
         assert el.gamma == pytest.approx(1.0 / math.sqrt(1 - 0.02 ** 2), rel=1e-14)
         assert el.gamma == pytest.approx(1.000200, abs=5e-7)
@@ -111,7 +111,7 @@ class TestCoupling:
         assert cp.J_signed_rad_per_fs < 0
 
     def test_bit_for_bit_reproducible(self):
-        kw = dict(beta=0.02, photon_energy_eV=6.20, E0_eV=100.0, alpha=10.0,
+        kw = dict(beta=0.02, photon_energy_eV=6.20, alpha=10.0,
                   box_edge_nm=100.0)
         a = make_scenario(**kw).coupling
         b = make_scenario(**kw).coupling
@@ -130,9 +130,8 @@ class TestSidebandEnergies:
 
     def test_curvature_symmetric(self, fig2a_params):
         p = fig2a_params
-        e0 = p.electron.E0_eV
-        up = sideband_energy(0.5, p) - e0
-        dn = sideband_energy(-0.5, p) - e0
+        up = sideband_energy(0.5, p)
+        dn = sideband_energy(-0.5, p)
         # n^2 term is even: the shared curvature is (up + dn)/2
         hbar = CODATA2018.hbar_eV_fs
         assert (up + dn) / 2 == pytest.approx(

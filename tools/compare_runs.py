@@ -39,6 +39,9 @@ RUNS = [
     *((f"gate-{gate}", "run_gate", [gate], [])
       for gate in ("rx", "ry", "rz", "iswap", "partial_iswap")),
     ("gate-rz-1.0", "run_gate", ["rz", 1.0], []),
+    # three pulses joined into one trajectory, on the Chebyshev route
+    ("gate-rz-1.0-fixed_step", "run_gate", ["rz", 1.0],
+     ["propagator.method=fixed_step"]),
     ("gate-partial_iswap-0.3", "run_gate", ["partial_iswap", 0.3], []),
     *((f"wstate-{mode}-{n}", "run_wstate", [n, mode], [])
       for mode in ("analog", "digital") for n in (3, 4, 5)),
