@@ -19,7 +19,8 @@ from .physpar import (CODATA2018, Constants, DerivedCoupling, DriveParams,
 from .hilbert import (BasisSpec, DensityOperator, StateVector, basis_ket,
                       coherent_state, computational_block, default_fock_cutoff,
                       default_window, fock_ket, make_basis, partial_trace,
-                      photon_number_mean, purity, qubit_factor, qubit_window,
+                      photon_number_mean, pure_target_fidelity, purity,
+                      qubit_factor, qubit_window, schmidt_entropy,
                       sideband_populations, tensor_product, uhlmann_fidelity,
                       von_neumann_entropy)
 from .hamiltonian import (HermitianOperator, ModelKind, build_dispersive_xy,

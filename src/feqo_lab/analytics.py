@@ -12,11 +12,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import DomainError
-from .hilbert import (StateVector, electron_populations, poisson_cutoff,
-                      sideband_leakage)
+from .hilbert import (StateVector, _poisson_logpmf, electron_populations,
+                      poisson_cutoff, sideband_leakage)
 from .physpar import ScenarioParams
 
 __all__ = [
@@ -39,7 +38,7 @@ def _poisson_weights(alpha: complex, tail_tol: float) -> tuple[np.ndarray, np.nd
     if nbar == 0:
         return np.array([0]), np.array([1.0])
     ms = np.arange(poisson_cutoff(nbar, tail_tol) + 1)
-    return ms, stats.poisson.pmf(ms, nbar)
+    return ms, np.exp(_poisson_logpmf(ms, nbar))
 
 
 def pe_exact_sum(alpha: complex, g: float, t, initial: str = "e",

@@ -66,10 +66,23 @@ def _jsonable(obj):
     return obj
 
 
+def _non_finite_keys(obj, path: str):
+    """Key paths of the non-finite numbers in a payload _write_json takes."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _non_finite_keys(value, f"{path}.{key}")
+    elif isinstance(obj, (list, tuple)):
+        for i, value in enumerate(obj):
+            yield from _non_finite_keys(value, f"{path}[{i}]")
+    elif isinstance(obj, (float, complex, np.number, np.ndarray)):
+        for index in np.argwhere(~np.isfinite(obj))[:1]:
+            yield path + "".join(f"[{i}]" for i in index)
+
+
 def _write_json(path: Path, payload) -> str:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=True)
-                    + "\n")
+    path.write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=True,
+                               allow_nan=False) + "\n")
     return str(path)
 
 
@@ -110,19 +123,27 @@ def _emit(out: Path, fmt: str, record: ResultRecord,
     """Write a run's files, each named after record.experiment: for fmt csv
     or both a trajectory CSV per csvs entry (keyed by file-name infix), for
     json or both the plot-data JSON from plot = (title, times, series), and
-    always, last, the summary, which lists every file written before it."""
+    always, last, the summary, which lists every file written before it.
+    A non-finite number in the summary or plot data is refused by its key
+    path before any file is written."""
     name = record.experiment
+    plot_data = None
+    if fmt in ("json", "both") and plot is not None:
+        title, times, series = plot
+        plot_data = {"title": title, "x": {"label": "t_fs", "values": times},
+                     "series": series}
+    for tag, payload in (("summary", record.to_dict()),
+                         ("plotdata", plot_data)):
+        bad = next(_non_finite_keys(payload, tag), None)
+        if bad is not None:
+            raise DomainError(f"{bad} is not a finite number")
     if fmt in ("csv", "both"):
         for infix, traj in csvs.items():
             record.files.append(_write_trajectory_csv(
                 out / f"{name}{infix}_trajectory.csv", traj))
-    if fmt in ("json", "both") and plot is not None:
-        title, times, series = plot
-        record.files.append(_write_json(out / f"{name}_plotdata.json", {
-            "title": title,
-            "x": {"label": "t_fs", "values": times},
-            "series": series,
-        }))
+    if plot_data is not None:
+        record.files.append(_write_json(out / f"{name}_plotdata.json",
+                                        plot_data))
     record.files.append(_write_json(out / f"{name}_summary.json",
                                     record.to_dict()))
     return record

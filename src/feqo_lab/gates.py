@@ -27,7 +27,8 @@ from .analytics import leakage_fraction
 from .errors import BasisError, DomainError
 from .hamiltonian import ModelKind, build_model
 from .hilbert import (DensityOperator, StateVector, computational_block,
-                      partial_trace, uhlmann_fidelity, von_neumann_entropy)
+                      partial_trace, pure_target_fidelity, schmidt_entropy,
+                      uhlmann_fidelity)
 from .physpar import _HBAR, ScenarioParams
 from .propagate import PropagatorConfig, Trajectory, propagate
 
@@ -323,17 +324,16 @@ def score_state(state: StateVector,
                 ) -> StateScore:
     """Qubit block, electron entropy, sideband leakage and, unless
     ideal_target is None, Uhlmann fidelity against it (a pure state vector
-    or density operator on the (e, g)-ordered qubit block)."""
+    or density operator on the (e, g)-ordered qubit block); against a pure
+    vector t the fidelity is <t|rho|t>."""
     basis = state.basis
-    rho_e = partial_trace(state, keep="electrons")
-    block = computational_block(rho_e, basis)
-    reduced = DensityOperator(block)
+    block = computational_block(partial_trace(state, keep="electrons"), basis)
     fidelity = None
     if ideal_target is not None:
-        target = (ideal_target.matrix if isinstance(ideal_target, DensityOperator)
-                  else np.asarray(ideal_target, dtype=np.complex128))
-        if target.ndim == 1:
-            target = np.outer(target, target.conj())
-        fidelity = uhlmann_fidelity(block, target)
-    return StateScore(reduced, fidelity, von_neumann_entropy(rho_e),
+        pure = (not isinstance(ideal_target, DensityOperator)
+                and np.ndim(ideal_target) == 1)
+        fidelity = (pure_target_fidelity if pure else uhlmann_fidelity)(
+            block, ideal_target)
+    return StateScore(DensityOperator(block), fidelity,
+                      float(schmidt_entropy(state.amplitudes, basis)),
                       leakage_fraction(state))

@@ -54,6 +54,7 @@ class HermitianOperator:
 
     _csr: sparse.csr_matrix | None = field(default=None, repr=False)
     _dense: np.ndarray | None = field(default=None, repr=False)
+    _blocks: list | None = field(default=None, repr=False)
     _eig: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -97,28 +98,51 @@ class HermitianOperator:
         return float(np.real(np.vdot(v, self.matvec(v))))
 
     def blocks(self) -> list[np.ndarray]:
-        """Flat indices of each connected block: no element of H joins two."""
-        _, comp = csgraph.connected_components(self.upper != 0, directed=False)
-        order = np.argsort(comp, kind="stable")
-        return np.split(order, np.cumsum(np.bincount(comp))[:-1])
+        """Flat indices of each connected block, each in increasing order:
+        no element of H joins two blocks."""
+        if self._blocks is None:
+            _, comp = csgraph.connected_components(self.upper != 0,
+                                                   directed=False)
+            order = np.argsort(comp, kind="stable")
+            self._blocks = np.split(order, np.cumsum(np.bincount(comp))[:-1])
+        return self._blocks
 
-    def eigensystem(self) -> tuple[np.ndarray, sparse.csr_matrix]:
-        """Cached (w, V) from one dense eigh per block: V is sparse and block
-        diagonal, and w[k] is the eigenvalue of column k."""
-        if self._eig is None:
-            blocks = self.blocks()
-            order = np.concatenate(blocks)
-            p = self.to_csr()[order][:, order]   # block diagonal in this order
-            w, v, a = np.empty(self.dimension), [], 0
-            for idx in blocks:
-                b = a + idx.size
-                w[idx], v_b = np.linalg.eigh(p[a:b, a:b].toarray())
-                v.append(v_b)
-                a = b
-            v = sparse.block_diag(v, format="coo")
-            self._eig = (w, sparse.csr_matrix(
-                (v.data, (order[v.row], order[v.col])), shape=v.shape))
-        return self._eig
+    def eigensystem(self, blocks: Sequence[np.ndarray] | None = None
+                    ) -> tuple[np.ndarray, sparse.csr_matrix]:
+        """(w, V) of the given blocks of self.blocks(), every block by
+        default (cached), from one stacked dense eigh per block size.
+
+        Column k of the sparse V, of eigenvalue w[k], belongs to the k-th
+        smallest flat index of the solved blocks and has its support in that
+        index's block; with every block solved, V is square and block
+        diagonal.
+        """
+        if blocks is None and self._eig is not None:
+            return self._eig
+        solve = self.blocks() if blocks is None else blocks
+        h = self.to_csr()
+        flat = np.sort(np.concatenate(solve))
+        rank = np.empty(self.dimension, dtype=np.intp)  # column of each state
+        rank[flat] = np.arange(flat.size)
+        sizes = np.array([idx.size for idx in solve])
+        w, rows, cols, vals = np.empty(flat.size), [], [], []
+        for size in np.unique(sizes):
+            idx = np.stack([solve[k] for k in np.flatnonzero(sizes == size)])
+            sub = h[idx.ravel()][:, idx.ravel()].tocoo()   # block diagonal
+            stack = np.zeros((len(idx), size, size), dtype=np.complex128)
+            stack[sub.row // size, sub.row % size, sub.col % size] = sub.data
+            w_g, v_g = np.linalg.eigh(stack)
+            w[rank[idx]] = w_g
+            rows.append(np.broadcast_to(idx[:, :, None], v_g.shape).ravel())
+            cols.append(np.broadcast_to(rank[idx][:, None, :],
+                                        v_g.shape).ravel())
+            vals.append(v_g.ravel())
+        v = sparse.csr_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(self.dimension, flat.size))
+        if blocks is None:
+            self._eig = (w, v)
+        return w, v
 
     def gershgorin_interval(self) -> tuple[float, float]:
         """Rigorous enclosure [lo, hi] of the spectrum from Gershgorin discs."""

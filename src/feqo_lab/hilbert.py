@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import BasisError, DomainError, TruncationError
 
@@ -46,6 +46,8 @@ __all__ = [
     "photon_populations",
     "photon_number_mean",
     "uhlmann_fidelity",
+    "pure_target_fidelity",
+    "schmidt_entropy",
     "von_neumann_entropy",
     "purity",
 ]
@@ -155,12 +157,26 @@ def make_basis(num_electrons: int, sideband_window: Iterable[float],
                      fock_cutoff=int(fock_cutoff))
 
 
+def _poisson_logpmf(m, nbar: float):
+    """log P(n = m) of Poisson(nbar)."""
+    return special.xlogy(m, nbar) - special.gammaln(m + 1) - nbar
+
+
 def poisson_cutoff(nbar: float, tail_tol: float) -> int:
-    """Smallest cutoff m with Poisson(nbar) tail mass P(n > m) < tail_tol."""
-    needed = int(stats.poisson.isf(tail_tol, nbar)) + 1
-    while stats.poisson.sf(needed, nbar) >= tail_tol:
-        needed += 1
-    return needed
+    """Smallest cutoff m with Poisson(nbar) tail mass P(n > m) < tail_tol,
+    found by bisection on the monotone tail."""
+    if not 0 < tail_tol <= 1:
+        raise DomainError(f"tail_tol {tail_tol} outside (0, 1]")
+    lo, hi = -1, max(int(nbar), 1)   # P(n > lo) >= tail_tol > P(n > hi)
+    while special.pdtrc(hi, nbar) >= tail_tol:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if special.pdtrc(mid, nbar) >= tail_tol:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def default_fock_cutoff(alpha: complex) -> int:
@@ -231,7 +247,7 @@ def coherent_state(alpha: complex, fock_cutoff: int,
     if fock_cutoff < 0:
         raise BasisError("fock_cutoff must be >= 0")
     nbar = abs(alpha) ** 2
-    tail = float(stats.poisson.sf(fock_cutoff, nbar)) if nbar > 0 else 0.0
+    tail = float(special.pdtrc(fock_cutoff, nbar)) if nbar > 0 else 0.0
     if tail >= tail_tol:
         needed = poisson_cutoff(nbar, tail_tol)
         raise TruncationError(
@@ -239,7 +255,7 @@ def coherent_state(alpha: complex, fock_cutoff: int,
             f"{tail_tol:.1e}; need fock_cutoff >= {needed}",
             required_cutoff=needed)
     m = np.arange(fock_cutoff + 1)
-    amps = np.exp(0.5 * stats.poisson.logpmf(m, nbar)
+    amps = np.exp(0.5 * _poisson_logpmf(m, nbar)
                   + 1j * m * np.angle(alpha))
     return amps / np.linalg.norm(amps)
 
@@ -383,12 +399,22 @@ def computational_state_vector(state: StateVector) -> np.ndarray:
     return state.amplitudes[_qubit_block_index(basis)]
 
 
-def electron_populations(state: StateVector) -> np.ndarray:
-    """(num_electrons, sideband_count) occupation probabilities per electron."""
-    probs = np.abs(state.tensor()) ** 2
-    axes = range(probs.ndim)   # electrons, then the photon
-    return np.array([probs.sum(axis=tuple(a for a in axes if a != el))
-                     for el in axes[:-1]])
+def electron_populations(state: StateVector | np.ndarray,
+                         basis: BasisSpec | None = None) -> np.ndarray:
+    """Occupation probabilities per electron and sideband.
+
+    state is a StateVector, giving shape (num_electrons, sideband_count), or
+    |amplitudes|^2 of shape (..., *basis.shape), giving
+    (..., num_electrons, sideband_count) with the leading axes kept.
+    """
+    if isinstance(state, StateVector):
+        probs, basis = np.abs(state.tensor()) ** 2, state.basis
+    else:
+        probs = state
+    lead = probs.ndim - basis.num_electrons - 1
+    axes = range(lead, probs.ndim)   # electrons, then the photon
+    return np.stack([probs.sum(axis=tuple(a for a in axes if a != el))
+                     for el in axes[:-1]], axis=-2)
 
 
 def sideband_populations(state: StateVector, electron_index: int = 0) -> dict[float, float]:
@@ -429,25 +455,65 @@ def _sqrtm_psd(mat: np.ndarray, psd_tol: float) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.conj().T
 
 
+def _matrix(op) -> np.ndarray:
+    return op.matrix if isinstance(op, DensityOperator) \
+        else np.asarray(op, dtype=np.complex128)
+
+
+def _require_finite(*operands):
+    if not all(np.all(np.isfinite(op)) for op in operands):
+        raise DomainError("fidelity operands must be finite")
+
+
+def _bounded_fidelity(f: float) -> float:
+    if f > 1.0 + 1e-6:
+        raise DomainError(f"fidelity {f} exceeds 1; operands are not "
+                          "subnormalized density operators")
+    return min(f, 1.0)
+
+
 def uhlmann_fidelity(rho, sigma, psd_tol: float = 1e-10) -> float:
     """F = [Tr sqrt(sqrt(rho) sigma sqrt(rho))]^2 for two PSD operators.
 
     Evaluated as the squared trace norm of sqrt(rho) sqrt(sigma) (the same
     quantity), whose singular values are symmetric in the operands.
     """
-    a = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=np.complex128)
-    b = sigma.matrix if isinstance(sigma, DensityOperator) else np.asarray(sigma, dtype=np.complex128)
+    a, b = _matrix(rho), _matrix(sigma)
     if a.shape != b.shape:
         raise BasisError("fidelity operands must share a subsystem")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise DomainError("fidelity operands must be finite")
+    _require_finite(a, b)
     sv = np.linalg.svd(_sqrtm_psd(a, psd_tol) @ _sqrtm_psd(b, psd_tol),
                        compute_uv=False)
-    f = float(np.sum(sv) ** 2)
-    if f > 1.0 + 1e-6:
-        raise DomainError(f"fidelity {f} exceeds 1; operands are not "
-                          "subnormalized density operators")
-    return min(f, 1.0)
+    return _bounded_fidelity(float(np.sum(sv) ** 2))
+
+
+def pure_target_fidelity(rho, target: np.ndarray) -> float:
+    """F = <t|rho|t>: the Uhlmann fidelity of a PSD operator rho and the pure
+    state |t><t|, without matrix square roots."""
+    a, t = _matrix(rho), np.asarray(target, dtype=np.complex128)
+    if t.ndim != 1 or a.shape != (t.size, t.size):
+        raise BasisError("fidelity operands must share a subsystem")
+    _require_finite(a, t)
+    return _bounded_fidelity(max(float(np.real(np.vdot(t, a @ t))), 0.0))
+
+
+def schmidt_entropy(amplitudes: np.ndarray, basis: BasisSpec) -> np.ndarray:
+    """Electron-photon entanglement entropy, in nats, of pure states.
+
+    amplitudes has shape (..., basis.dimension); each state is reshaped to
+    its (electrons, photon) matrix, whose squared singular values p are the
+    eigenvalues of either reduced density operator.  S = -sum p ln p over
+    p > 1e-14, the cut of von_neumann_entropy.  Returns shape (...), NaN
+    for a state with a non-finite amplitude.
+    """
+    psi = np.reshape(amplitudes, np.shape(amplitudes)[:-1]
+                     + (-1, basis.photon_dim))
+    finite = np.isfinite(psi).all(axis=(-2, -1))
+    p = np.linalg.svd(np.where(finite[..., None, None], psi, 0.0),
+                      compute_uv=False) ** 2
+    kept = p > 1e-14
+    terms = np.where(kept, -p * np.log(np.where(kept, p, 1.0)), 0.0)
+    return np.where(finite, np.maximum(terms.sum(axis=-1), 0.0), np.nan)
 
 
 def von_neumann_entropy(rho) -> float:

@@ -1,14 +1,17 @@
 """Norm-conserving time evolution under a constant Hermitian operator.
 
-Two routes: EIGEN_ORACLE diagonalizes each block of H once and applies exact
-phase factors; FIXED_STEP advances the whole state in equal intervals,
-expanding each interval's exp(-i H dt / hbar) in Chebyshev polynomials to
-machine precision over a Gershgorin enclosure of the spectrum.  The two
-routes are algorithmically independent and are cross-checked in the tests.
+Two routes: EIGEN_ORACLE diagonalizes once each block of H in which the
+initial state has weight and applies exact phase factors; FIXED_STEP advances
+the whole state in equal intervals, expanding each interval's
+exp(-i H dt / hbar) in Chebyshev polynomials to machine precision over a
+Gershgorin enclosure of the spectrum.  The two routes are algorithmically
+independent and are cross-checked in the tests.
 
 Both routes sample one grid.  A propagation of length T with sample gap D is
 split into K = ceil(T / D) equal intervals (K = 0 when T = 0); the samples
-sit at T k / K for k = 0 .. K, and the last sample is the final state.
+sit at T k / K for k = 0 .. K, and the last sample is the final state.  The
+samples are reduced to their metrics in chunks of at most CHUNK_AMPLITUDES
+amplitudes, one array pass per chunk.
 """
 
 from __future__ import annotations
@@ -21,9 +24,8 @@ from scipy import special
 
 from .errors import BasisError, DomainError, PropagationError
 from .hamiltonian import HermitianOperator
-from .hilbert import (StateVector, electron_populations, partial_trace,
-                      photon_number_mean, sideband_leakage,
-                      von_neumann_entropy)
+from .hilbert import (StateVector, electron_populations, schmidt_entropy,
+                      sideband_leakage)
 from .physpar import _HBAR
 
 __all__ = ["EIGEN_DIM_CAP", "EIGEN_ORACLE", "FIXED_STEP", "PropagatorConfig",
@@ -33,6 +35,7 @@ EIGEN_ORACLE = "eigen"
 FIXED_STEP = "fixed_step"
 EIGEN_DIM_CAP = 4000        # largest block EIGEN_ORACLE solves
 MAX_INTERVALS = 10 ** 6     # sample intervals one propagation may hold
+CHUNK_AMPLITUDES = 2 ** 18  # amplitudes (4 MiB) reduced to metrics at once
 
 
 @dataclass(frozen=True)
@@ -85,22 +88,33 @@ class Trajectory:
 
 
 def _sample_metrics(basis, amps: np.ndarray):
-    state = StateVector(basis, amps)
-    entropy = von_neumann_entropy(partial_trace(state, keep="electrons"))
-    return (electron_populations(state), photon_number_mean(state), entropy,
-            float(np.linalg.norm(amps)))
+    """(populations, photon mean, entropy, norm) of each row of the
+    (samples, dimension) amplitude array."""
+    probs = np.abs(amps) ** 2
+    photon = probs.reshape(len(amps), -1, basis.photon_dim).sum(axis=1)
+    return (electron_populations(probs.reshape(-1, *basis.shape), basis),
+            (photon * np.arange(basis.photon_dim)).sum(axis=-1),
+            schmidt_entropy(amps, basis), np.sqrt(probs.sum(axis=-1)))
 
 
 def _eigen_route(H: HermitianOperator, psi0: StateVector):
-    """t -> amplitudes of V exp(-i L t / hbar) V^dag psi0."""
-    largest = max(idx.size for idx in H.blocks())
+    """times -> (len(times), dim) amplitudes of V exp(-i L t / hbar) V^dag psi0,
+    solving only the blocks of H where psi0 has weight: H never joins two
+    blocks, so every other block stays exactly zero."""
+    support = psi0.amplitudes != 0
+    # a zero state stays zero under any one block
+    occupied = [idx for idx in H.blocks() if support[idx].any()] \
+        or H.blocks()[:1]
+    largest = max(idx.size for idx in occupied)
     if largest > EIGEN_DIM_CAP:
         raise PropagationError(
-            f"largest block of H has {largest} states, above the eigen-oracle "
-            f"cap {EIGEN_DIM_CAP}; use FIXED_STEP")
-    w, v = H.eigensystem()
+            f"largest block of H that the state occupies has {largest} "
+            f"states, above the eigen-oracle cap {EIGEN_DIM_CAP}; use "
+            f"FIXED_STEP")
+    w, v = H.eigensystem(occupied)
     coeff = v.conj().T @ psi0.amplitudes
-    return lambda t: v @ (np.exp(-1j * w * t / _HBAR) * coeff)
+    return lambda times: np.ascontiguousarray((v @ (
+        np.exp(-1j * np.outer(w, times) / _HBAR) * coeff[:, None])).T)
 
 
 def propagate_eigen(H: HermitianOperator, psi0: StateVector, t_fs: float
@@ -108,7 +122,7 @@ def propagate_eigen(H: HermitianOperator, psi0: StateVector, t_fs: float
     """Exact evolution psi(t) = V exp(-i L t / hbar) V^dag psi0."""
     if H.basis != psi0.basis:
         raise BasisError("operator and state live on different bases")
-    return StateVector(psi0.basis, _eigen_route(H, psi0)(t_fs))
+    return StateVector(psi0.basis, _eigen_route(H, psi0)([t_fs])[0])
 
 
 class _ChebyshevStepper:
@@ -183,32 +197,33 @@ def propagate(H: HermitianOperator, psi0: StateVector, total_time_fs: float,
 
     times = np.linspace(0.0, total_time_fs, intervals + 1)
     pops = np.empty((times.size, basis.num_electrons, basis.sideband_count))
-    ph_mean = np.empty(times.size)
-    entropy = np.empty(times.size)
-    norms = np.empty(times.size)
-
-    def record(k: int, amps: np.ndarray):
-        p, ph, s, nrm = _sample_metrics(basis, amps)
-        pops[k], ph_mean[k], entropy[k], norms[k] = p, ph, s, nrm
-        if not abs(nrm - 1.0) <= cfg.norm_tol:
-            raise PropagationError(
-                f"norm drift {abs(nrm - 1.0):.3e} at t = {times[k]:.6g} fs "
-                f"exceeds {cfg.norm_tol:.1e}: step too large")
-
+    ph_mean, entropy, norms = (np.empty(times.size) for _ in range(3))
     psi0.require_normalized(max(cfg.norm_tol, 1e-9))
 
-    amps = psi0.amplitudes.copy()
     if cfg.method == EIGEN_ORACLE:
         evolve = _eigen_route(H, psi0)
     elif intervals:
         step = _ChebyshevStepper(H, total_time_fs / intervals).step
-    for k, t in enumerate(times):
+    amps = psi0.amplitudes
+    chunk = max(CHUNK_AMPLITUDES // basis.dimension, 1)
+    for a in range(0, times.size, chunk):
+        b = min(a + chunk, times.size)
         if cfg.method == EIGEN_ORACLE:
-            amps = evolve(t)
-        elif k:
-            amps = step(amps)
-        record(k, amps)
+            batch = evolve(times[a:b])
+        else:
+            batch = np.empty((b - a, basis.dimension), dtype=np.complex128)
+            for k in range(a, b):
+                amps = batch[k - a] = step(amps) if k else amps
+        pops[a:b], ph_mean[a:b], entropy[a:b], norms[a:b] = \
+            _sample_metrics(basis, batch)
+        drift = ~(np.abs(norms[a:b] - 1.0) <= cfg.norm_tol)
+        if drift.any():
+            k = a + int(np.argmax(drift))
+            raise PropagationError(
+                f"norm drift {abs(norms[k] - 1.0):.3e} at t = {times[k]:.6g} "
+                f"fs exceeds {cfg.norm_tol:.1e}: step too large")
 
     return Trajectory(times_fs=times, populations=pops, photon_mean=ph_mean,
                       entropy_nats=entropy, norm=norms,
-                      final_state=StateVector(basis, amps), basis=basis)
+                      final_state=StateVector(basis, batch[-1].copy()),
+                      basis=basis)

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -8,6 +11,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import feqo_lab
 from feqo_lab import gates
 from feqo_lab.cli import (ConfigError, PRESETS, ScenarioConfig, experiments,
                           export_density_matrix, parse_config_text,
@@ -563,6 +567,25 @@ class TestCliEntry:
         assert time.perf_counter() - start < 30.0
         assert not any(tmp_path.iterdir())
 
+    def test_non_finite_summary_refused_before_any_file(self, tmp_path):
+        # g / omega_L overflows to inf: refused by key, not written as
+        # "Infinity", which is not JSON
+        result = CliRunner().invoke(cli, [
+            "run", "fig2a", "--out", str(tmp_path), "--set",
+            "drive.photon_energy_eV=1e-300", "--set", "drive.alpha_re=3.0"])
+        assert result.exit_code == 2, result.output
+        assert "derived.g_over_omega is not a finite number" in result.output
+        assert not list(tmp_path.glob("*_summary.json"))
+        assert not any(tmp_path.iterdir())
+
+    def test_non_finite_key_paths(self):
+        payload = {"x": {"values": np.array([0.0, np.inf])},
+                   "series": [{"label": "a", "values": [1.0, math.nan]}],
+                   "complex": 1j * math.inf, "count": 3, "flag": True}
+        assert list(experiments._non_finite_keys(payload, "plotdata")) == [
+            "plotdata.x.values[1]", "plotdata.series[0].values[1]",
+            "plotdata.complex"]
+
     def test_numerics_exit_code(self, tmp_path):
         # fock cutoff far below the coherent-state support
         runner = CliRunner()
@@ -641,3 +664,15 @@ class TestCliEntry:
         payload = json.loads(result.output)
         assert payload["metrics"]["fidelity_w"] >= 0.99
         assert payload["metrics"]["T_TC_fs"] == pytest.approx(250.0, rel=5e-2)
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    """scipy.stats roughly doubles the CLI's start-up; the package uses
+    scipy.special for the Poisson law instead."""
+    src = str(Path(feqo_lab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, feqo_lab.cli; print(sorted("
+         "m for m in sys.modules if m.startswith('scipy.stats')))"],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"

@@ -4,19 +4,21 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from feqo_lab import (CODATA2018, DomainError, GateSchedule, ModelKind,
-                      PropagatorConfig, apply_virtual_z, basis_ket,
+from feqo_lab import (CODATA2018, DensityOperator, DomainError, GateSchedule,
+                      ModelKind, PropagatorConfig, apply_virtual_z, basis_ket,
                       build_dispersive_xy, coherent_state, default_window,
-                      execute, make_basis, make_scenario,
-                      qubit_factor, qubit_window, schedule_iswap,
+                      execute, make_basis, make_scenario, partial_trace,
+                      qubit_factor, qubit_window, schedule_iswap, score_state,
                       schedule_partial_iswap, schedule_rx, schedule_ry,
                       schedule_rz_composite, semiclassical_unitary,
-                      tensor_product, wstate_digital_sequence,
-                      wstate_tc_analog)
+                      tensor_product, von_neumann_entropy,
+                      wstate_digital_sequence, wstate_tc_analog)
 from feqo_lab.gates import DispersiveRegimeWarning
 from feqo_lab.hilbert import (StateVector, computational_state_vector,
                               fock_ket, sideband_populations)
 from feqo_lab.propagate import propagate_eigen
+
+from conftest import random_state
 
 HBAR = CODATA2018.hbar_eV_fs
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -325,6 +327,27 @@ class TestExecute:
         psi0 = basis_ket(basis, (0.5, -0.5, -0.5, -0.5), 0)
         assert_checkpoints_are_prefix_states(
             GateSchedule(segments=tuple(segs)), psi0, fig2b_params)
+
+
+class TestScoreState:
+    def test_pure_target_matches_density_operator_target(self, rng):
+        # a leaky state: sidebands outside +-1/2 hold part of the weight
+        basis = make_basis(2, default_window(4), 2)
+        for _ in range(10):
+            state = StateVector(basis, random_state(rng, basis.dimension))
+            t = random_state(rng, 4)
+            pure = score_state(state, t)
+            mixed = score_state(state, DensityOperator(np.outer(t, t.conj())))
+            assert pure.fidelity == pytest.approx(mixed.fidelity, abs=1e-7)
+            assert pure.entropy_nats == pytest.approx(von_neumann_entropy(
+                partial_trace(state, "electrons")), abs=1e-12)
+            assert pure.leakage > 0.1
+
+    def test_non_finite_target_refused(self, rng):
+        basis = make_basis(2, qubit_window(), 1)
+        state = StateVector(basis, random_state(rng, basis.dimension))
+        with pytest.raises(DomainError, match="finite"):
+            score_state(state, np.array([np.nan, 0.0, 0.0, 1.0]))
 
 
 def assert_checkpoints_are_prefix_states(sched, psi0, params):

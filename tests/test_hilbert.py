@@ -3,16 +3,19 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from feqo_lab import (BasisError, DensityOperator, DomainError,
                       TruncationError, basis_ket, coherent_state,
                       computational_block, default_fock_cutoff, default_window,
                       fock_ket, make_basis, partial_trace, photon_number_mean,
-                      purity, qubit_factor, qubit_window, sideband_populations,
-                      tensor_product, uhlmann_fidelity, von_neumann_entropy)
-from feqo_lab.hilbert import (StateVector, computational_state_vector,
-                             electron_populations, sideband_leakage)
+                      pure_target_fidelity, purity, qubit_factor, qubit_window,
+                      schmidt_entropy, sideband_populations, tensor_product,
+                      uhlmann_fidelity, von_neumann_entropy)
+from feqo_lab.analytics import _poisson_weights
+from feqo_lab.hilbert import (StateVector, _poisson_logpmf,
+                             computational_state_vector, electron_populations,
+                             poisson_cutoff, sideband_leakage)
 
 from conftest import random_state
 
@@ -112,6 +115,30 @@ class TestCoherentState:
         assert need is not None
         assert stats.poisson.sf(need, 100.0) < 1e-8
         coherent_state(10.0, need)
+
+    @pytest.mark.parametrize("nbar", [0.0, 1e-3, 0.5, 1.0, 2.5, 9.0, 25.0,
+                                      100.0, 121.0, 400.0, 3700.0])
+    def test_cutoff_is_the_smallest(self, nbar):
+        for tail_tol in (1.0, 0.5, 1e-3, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14):
+            m = poisson_cutoff(nbar, tail_tol)
+            assert stats.poisson.sf(m, nbar) < tail_tol or m == 0 == nbar
+            assert m == 0 or stats.poisson.sf(m - 1, nbar) >= tail_tol
+
+    @pytest.mark.parametrize("tail_tol", [0.0, -1e-8, 1.5, np.nan])
+    def test_cutoff_refuses_tolerance_outside_unit_interval(self, tail_tol):
+        with pytest.raises(DomainError, match="tail_tol"):
+            poisson_cutoff(9.0, tail_tol)
+
+    @pytest.mark.parametrize("nbar", [0.5, 1.0, 9.0, 100.0, 121.0, 3700.0])
+    def test_poisson_law_matches_scipy_stats(self, nbar):
+        m = np.arange(400)
+        assert np.array_equal(special.pdtrc(m, nbar),
+                              stats.poisson.sf(m, nbar))
+        assert np.array_equal(_poisson_logpmf(m, nbar),
+                              stats.poisson.logpmf(m, nbar))
+        alpha = math.sqrt(nbar)
+        ms, weights = _poisson_weights(alpha, 1e-12)
+        assert np.array_equal(weights, stats.poisson.pmf(ms, abs(alpha) ** 2))
 
     def test_large_alpha_no_underflow(self):
         # exp(-|alpha|^2/2) underflows to 0 at |alpha| = 40
@@ -280,6 +307,41 @@ class TestFidelity:
             uhlmann_fidelity(np.eye(2) / 2, bad)
 
 
+class TestPureTargetFidelity:
+    """<t|rho|t> against the square-root route of uhlmann_fidelity.  The
+    square root of the rank-one |t><t| turns its round-off eigenvalues
+    (about 1e-16) into about 1e-8, so the two agree to 1e-7, not closer."""
+
+    def test_matches_uhlmann_on_leaky_blocks(self, rng):
+        basis = make_basis(2, default_window(4), 2)
+        for _ in range(30):
+            state = StateVector(basis, random_state(rng, basis.dimension))
+            block = computational_block(partial_trace(state), basis)
+            assert np.trace(block).real < 0.9     # subnormalised: leaky
+            t = random_state(rng, 4)
+            f = pure_target_fidelity(block, t)
+            assert f == pytest.approx(
+                uhlmann_fidelity(block, np.outer(t, t.conj())), abs=1e-7)
+            # the same quantity from sqrt(rho) and the exact root |t><t|
+            w, v = np.linalg.eigh(block)
+            root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+            assert f == pytest.approx(np.linalg.norm(root @ t) ** 2,
+                                      abs=1e-14)
+
+    def test_guards(self):
+        t = np.array([1.0, 0.0], dtype=complex)
+        for bad in (np.diag([np.nan, 0.0]), np.diag([np.inf, 0.0])):
+            with pytest.raises(DomainError, match="finite"):
+                pure_target_fidelity(bad, t)
+        with pytest.raises(DomainError, match="finite"):
+            pure_target_fidelity(np.eye(2) / 2, np.array([np.nan, 1.0]))
+        with pytest.raises(DomainError, match="exceeds 1"):
+            pure_target_fidelity(2.0 * np.eye(2), t)
+        with pytest.raises(BasisError):
+            pure_target_fidelity(np.eye(3) / 3, t)
+        assert pure_target_fidelity(np.eye(2) / 2, t) == 0.5
+
+
 class TestFailClosed:
     def test_nan_state_not_normalized(self):
         basis = make_basis(1, qubit_window(), 1)
@@ -305,6 +367,43 @@ class TestEntropy:
         # -0.9 ln 0.9 - 0.1 ln 0.1
         assert von_neumann_entropy(np.diag([0.9, 0.1])) == pytest.approx(
             0.3251, abs=5e-5)
+
+
+_SCHMIDT_BASES = {
+    "pinem_1": make_basis(1, default_window(6), 9),
+    "pinem_2": make_basis(2, default_window(4), 5),
+    "pinem_3": make_basis(3, default_window(4), 3),
+    "tc": make_basis(3, qubit_window(), 4),
+    "register": make_basis(4, qubit_window(), 0),
+}
+
+
+class TestSchmidtEntropy:
+    """Batched Schmidt values against the reduced-density-operator route."""
+
+    @pytest.mark.parametrize("name", sorted(_SCHMIDT_BASES))
+    def test_matches_von_neumann_of_partial_trace(self, name, rng):
+        basis = _SCHMIDT_BASES[name]
+        states = [random_state(rng, basis.dimension) for _ in range(6)]
+        # product states: entropy zero up to round-off
+        sizes = [basis.sideband_count] * basis.num_electrons + [basis.photon_dim]
+        states += [tensor_product(basis, [random_state(rng, d) for d in sizes]
+                                  ).amplitudes for _ in range(3)]
+        entropy = schmidt_entropy(np.stack(states), basis)
+        assert entropy.shape == (len(states),)
+        for amps, s in zip(states, entropy):
+            reference = von_neumann_entropy(partial_trace(
+                StateVector(basis, amps), "electrons"))
+            assert s == pytest.approx(reference, abs=1e-12)
+        assert np.all(entropy[-3:] < 1e-12)
+
+    def test_single_state_and_non_finite_rows(self, rng):
+        basis = _SCHMIDT_BASES["pinem_1"]
+        good = random_state(rng, basis.dimension)
+        bad = np.full(basis.dimension, np.nan, dtype=complex)
+        out = schmidt_entropy(np.stack([good, bad, good]), basis)
+        assert np.isnan(out[1])
+        assert out[0] == out[2] == schmidt_entropy(good, basis)
 
 
 class TestPopulations:

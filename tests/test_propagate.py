@@ -13,12 +13,13 @@ from feqo_lab import (CODATA2018, DomainError, PropagationError,
                       make_basis, propagate, propagate_eigen, qubit_window,
                       tensor_product)
 from feqo_lab.hamiltonian import HermitianOperator
-from feqo_lab.hilbert import StateVector
+from feqo_lab.hilbert import StateVector, electron_populations
 from feqo_lab.propagate import EIGEN_ORACLE, FIXED_STEP, _ChebyshevStepper
 
 from conftest import random_state
 
 HBAR = CODATA2018.hbar_eV_fs
+PROPAGATE = importlib.import_module("feqo_lab.propagate")
 
 
 def random_hermitian(rng, basis, scale=1.0):
@@ -104,6 +105,70 @@ class TestFailClosed:
             propagate(h, basis_ket(basis, (0.5,), 0), 2.5, PropagatorConfig(
                 method=FIXED_STEP, sample_every_fs=1.0))
         assert calls == [2.5 / 3] * 3
+
+
+class TestChunkedSampling:
+    """Samples are reduced in chunks of at most CHUNK_AMPLITUDES amplitudes;
+    a chunk bound of three samples must change no sampled number."""
+
+    @staticmethod
+    def case(strong_params, rng):
+        basis = make_basis(2, default_window(4), 5)
+        psi0 = StateVector(basis, random_state(rng, basis.dimension))
+        return build_pinem(strong_params, basis), psi0
+
+    @pytest.mark.parametrize("method", [EIGEN_ORACLE, FIXED_STEP])
+    def test_chunks_match_one_pass(self, method, strong_params, rng,
+                                   monkeypatch):
+        h, psi0 = self.case(strong_params, rng)
+        cfg = PropagatorConfig(method=method, sample_every_fs=0.2)
+        whole = propagate(h, psi0, 2.0, cfg)           # 11 samples, one chunk
+        monkeypatch.setattr(PROPAGATE, "CHUNK_AMPLITUDES", 3 * h.dimension)
+        chunked = propagate(h, psi0, 2.0, cfg)         # chunks of 3, 3, 3, 2
+        assert np.array_equal(whole.populations, chunked.populations)
+        assert np.array_equal(whole.norm, chunked.norm)
+        assert np.array_equal(whole.final_state.amplitudes,
+                              chunked.final_state.amplitudes)
+        for key in ("photon_mean", "entropy_nats"):
+            assert np.max(np.abs(getattr(whole, key)
+                                 - getattr(chunked, key))) < 1e-12, key
+
+    def test_fixed_step_failure_in_a_later_chunk(self, vacuum_block,
+                                                  monkeypatch):
+        basis, h = vacuum_block
+        monkeypatch.setattr(PROPAGATE, "CHUNK_AMPLITUDES", 3 * h.dimension)
+        step = _ChebyshevStepper.step
+        calls = []
+
+        # samples 0..4 stay finite; the fifth step, to t = 5 fs, breaks,
+        # inside the second chunk (samples 3, 4, 5)
+        def fifth_step_breaks(self, v):
+            calls.append(1)
+            return step(self, v) if len(calls) < 5 else np.full_like(v, np.nan)
+
+        monkeypatch.setattr(_ChebyshevStepper, "step", fifth_step_breaks)
+        with pytest.raises(PropagationError, match="norm drift nan at t = 5 fs"):
+            propagate(h, basis_ket(basis, (0.5,), 0), 9.0, PropagatorConfig(
+                method=FIXED_STEP, sample_every_fs=1.0))
+        assert len(calls) == 5
+
+    def test_eigen_failure_in_a_later_chunk(self, vacuum_block, monkeypatch):
+        basis, h = vacuum_block
+        monkeypatch.setattr(PROPAGATE, "CHUNK_AMPLITUDES", 3 * h.dimension)
+        route = PROPAGATE._eigen_route
+
+        # amplitudes grow by half from t = 4.5 fs on: the first bad sample
+        # is t = 5 fs, the second of the second chunk (samples 3, 4, 5)
+        def growing_route(H, psi0):
+            evolve = route(H, psi0)
+            return lambda times: evolve(times) * np.where(
+                np.asarray(times) > 4.5, 1.5, 1.0)[:, None]
+
+        monkeypatch.setattr(PROPAGATE, "_eigen_route", growing_route)
+        with pytest.raises(PropagationError,
+                           match=r"norm drift 5\.000e-01 at t = 5 fs"):
+            propagate(h, basis_ket(basis, (0.5,), 0), 9.0,
+                      PropagatorConfig(sample_every_fs=1.0))
 
 
 class TestVacuumRabi:
@@ -327,6 +392,42 @@ class TestBlockRoute:
             assert abs(v.conj().T @ v - eye).max() < 1e-12, case
             assert abs(h.to_csr() @ v - v @ sparse.diags(w)).max() < 1e-10, \
                 case
+
+    def test_occupied_blocks_match_full_route(self, strong_params,
+                                              fig2b_params, rng):
+        h = _block_cases(strong_params, fig2b_params)["tc"]
+        blocks = h.blocks()
+        chosen = np.sort(np.concatenate([blocks[1], blocks[-2]]))
+        assert chosen.size < h.dimension
+        amps = np.zeros(h.dimension, dtype=complex)
+        amps[chosen] = random_state(rng, chosen.size)
+        psi0 = StateVector(h.basis, amps)
+
+        # the solved blocks are the matching columns of the full solution
+        w_full, v_full = h.eigensystem()
+        w, v = h.eigensystem([blocks[1], blocks[-2]])
+        assert np.array_equal(w, w_full[chosen])
+        assert (v != v_full[:, chosen]).nnz == 0
+
+        total = 40.0
+        cfg = PropagatorConfig(sample_every_fs=total / 20)
+        traj = propagate(h, psi0, total, cfg)
+        coeff = v_full.conj().T @ amps
+        for k, t in enumerate(traj.times_fs):
+            ref = v_full @ (np.exp(-1j * w_full * t / HBAR) * coeff)
+            ref_state = StateVector(h.basis, ref)
+            assert np.max(np.abs(traj.populations[k] - electron_populations(
+                ref_state))) < 1e-13
+        outside = np.setdiff1d(np.arange(h.dimension), chosen)
+        assert not np.any(traj.final_state.amplitudes[outside])
+        assert np.max(np.abs(traj.final_state.amplitudes - ref)) < 1e-13
+
+        fixed = propagate(h, psi0, total, PropagatorConfig(
+            method=FIXED_STEP, sample_every_fs=total / 20))
+        assert np.max(np.abs(traj.final_state.amplitudes
+                             - fixed.final_state.amplitudes)) < 1e-9
+        assert np.max(np.abs(traj.populations - fixed.populations)) < 1e-10
+        assert np.max(np.abs(traj.entropy_nats - fixed.entropy_nats)) < 1e-9
 
     def test_dense_random_hermitian_is_one_block(self, rng):
         basis = make_basis(2, qubit_window(), 3)
