@@ -60,6 +60,8 @@ def _jsonable(obj):
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind in "biuf":    # tolist gives JSON-ready numbers
+            return obj.tolist()
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
@@ -93,15 +95,12 @@ def _write_trajectory_csv(path: Path, traj: Trajectory) -> str:
         for n in basis.sideband_indices:
             cols.append(f"pop_e{el + 1}_n{n:g}")
     cols += ["photon_mean", "entropy_nats", "norm"]
-    lines = [",".join(cols)]
-    fmt = f"{{:.{CSV_DIGITS}g}}"
-    for k, t in enumerate(traj.times_fs):
-        row = [fmt.format(t)]
-        row += [fmt.format(p) for p in traj.populations[k].ravel()]
-        row += [fmt.format(traj.photon_mean[k]),
-                fmt.format(traj.entropy_nats[k]),
-                fmt.format(traj.norm[k])]
-        lines.append(",".join(row))
+    samples = len(traj.times_fs)
+    table = np.column_stack([traj.times_fs,
+                             traj.populations.reshape(samples, -1),
+                             traj.photon_mean, traj.entropy_nats, traj.norm])
+    row = ",".join([f"%.{CSV_DIGITS}g"] * len(cols))
+    lines = [",".join(cols)] + [row % tuple(r) for r in table.tolist()]
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
     return str(path)

@@ -144,11 +144,15 @@ class HermitianOperator:
             self._eig = (w, v)
         return w, v
 
-    def gershgorin_interval(self) -> tuple[float, float]:
-        """Rigorous enclosure [lo, hi] of the spectrum from Gershgorin discs."""
+    def gershgorin_radii(self) -> np.ndarray:
+        """Radius of each row's Gershgorin disc: its off-diagonal |h| sum."""
         offdiag = self.to_csr().copy()
         offdiag.setdiag(0.0)
-        radius = np.asarray(np.abs(offdiag).sum(axis=1)).ravel()
+        return np.asarray(np.abs(offdiag).sum(axis=1)).ravel()
+
+    def gershgorin_interval(self) -> tuple[float, float]:
+        """Rigorous enclosure [lo, hi] of the spectrum from Gershgorin discs."""
+        radius = self.gershgorin_radii()
         return float(np.min(self.diag - radius)), float(np.max(self.diag + radius))
 
 

@@ -451,7 +451,9 @@ def _sqrtm_psd(mat: np.ndarray, psd_tol: float) -> np.ndarray:
     if w.min() < -psd_tol:
         raise DomainError(f"operator has negative eigenvalue {w.min():.3e} "
                           "beyond tolerance")
-    w = np.clip(w, 0.0, None)
+    # round-off eigenvalues of a (near) rank-deficient operand would become
+    # singular values of about sqrt(eps) under the root: zero them
+    w = np.where(w > 1e-14 * w.max(), w, 0.0)
     return (v * np.sqrt(w)) @ v.conj().T
 
 

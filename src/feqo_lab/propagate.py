@@ -2,10 +2,14 @@
 
 Two routes: EIGEN_ORACLE diagonalizes once each block of H in which the
 initial state has weight and applies exact phase factors; FIXED_STEP advances
-the whole state in equal intervals, expanding each interval's
-exp(-i H dt / hbar) in Chebyshev polynomials to machine precision over a
-Gershgorin enclosure of the spectrum.  The two routes are algorithmically
-independent and are cross-checked in the tests.
+the whole state in equal intervals.  It shifts each block of H by the centre
+D of that block's Gershgorin interval, applies exp(-i D dt / hbar) as a
+per-state phase and expands exp(-i (H - D) dt / hbar) in Chebyshev
+polynomials to machine precision, so the degree follows the widest block, not
+the spread of the block energies.  It needs no eigendecomposition, and a step
+or a run whose Chebyshev cost exceeds MAX_TERMS or MAX_MATVECS is refused
+before it starts.  The two routes are algorithmically independent and are
+cross-checked in the tests.
 
 Both routes sample one grid.  A propagation of length T with sample gap D is
 split into K = ceil(T / D) equal intervals (K = 0 when T = 0); the samples
@@ -35,6 +39,8 @@ EIGEN_ORACLE = "eigen"
 FIXED_STEP = "fixed_step"
 EIGEN_DIM_CAP = 4000        # largest block EIGEN_ORACLE solves
 MAX_INTERVALS = 10 ** 6     # sample intervals one propagation may hold
+MAX_TERMS = 10 ** 5         # Chebyshev terms one FIXED_STEP interval may take
+MAX_MATVECS = 10 ** 7       # matvecs one FIXED_STEP propagation may take
 CHUNK_AMPLITUDES = 2 ** 18  # amplitudes (4 MiB) reduced to metrics at once
 
 
@@ -126,18 +132,48 @@ def propagate_eigen(H: HermitianOperator, psi0: StateVector, t_fs: float
 
 
 class _ChebyshevStepper:
-    """Applies exp(-i H dt / hbar) via a Chebyshev expansion on [lo, hi]."""
+    """Applies exp(-i H dt / hbar) as exp(-i D dt / hbar) exp(-i (H - D) dt /
+    hbar), the second factor as a Chebyshev expansion in A = (H - D) / radius.
 
-    def __init__(self, H: HermitianOperator, dt_fs: float):
-        lo, hi = H.gershgorin_interval()
-        half = 0.5 * (hi - lo)
-        self.center = 0.5 * (hi + lo)
-        self.radius = half * 1.01 + 1e-12   # small pad keeps the map inside [-1, 1]
+    D holds, for each state, the midpoint of its block's Gershgorin interval,
+    and radius is half the widest block's interval: the expansion spans one
+    block's width, not the spread of the block energies.  D is constant on
+    every block, so it commutes with H and the split is exact; that is
+    checked on every coupling of H, not taken from H.blocks().
+    """
+
+    def __init__(self, H: HermitianOperator, dt_fs: float, steps: int):
+        blocks = H.blocks()
+        order = np.concatenate(blocks)
+        sizes = np.array([idx.size for idx in blocks])
+        starts = np.cumsum(sizes) - sizes
+        radii = H.gershgorin_radii()[order]
+        lo = np.minimum.reduceat(H.diag[order] - radii, starts)
+        hi = np.maximum.reduceat(H.diag[order] + radii, starts)
+        self.centres = d = np.empty(H.dimension)
+        d[order] = np.repeat(0.5 * (hi + lo), sizes)
+        upper = H.upper.tocoo()
+        joined = upper.data != 0
+        if np.any(d[upper.row[joined]] != d[upper.col[joined]]):
+            raise PropagationError(
+                "a coupling of H joins two states with different block "
+                "centres: H.blocks() does not follow H's couplings")
+        # small pad keeps the map inside [-1, 1]
+        self.radius = 0.5 * np.max(hi - lo) * 1.01 + 1e-12
         self.dt = dt_fs
         self.z = self.radius * dt_fs / _HBAR
-        self.phase = np.exp(-1j * self.center * dt_fs / _HBAR)
-        k_max = int(math.ceil(self.z + 15.0 * (self.z + 16.0) ** (1.0 / 3.0) + 24.0))
-        ks = np.arange(k_max + 1)
+        terms = self.z + 15.0 * (self.z + 16.0) ** (1.0 / 3.0) + 24.0
+        if not terms <= MAX_TERMS:
+            raise DomainError(
+                f"a Chebyshev step of {dt_fs:.6g} fs needs about {terms:.3g} "
+                f"terms, more than {MAX_TERMS}; lower "
+                f"propagator.sample_every_fs or use the eigen route")
+        if not steps * terms <= MAX_MATVECS:
+            raise DomainError(
+                f"{steps} Chebyshev steps of about {terms:.0f} terms take more "
+                f"than {MAX_MATVECS} matvecs; shorten run.total_time_fs or "
+                f"use the eigen route")
+        ks = np.arange(math.ceil(terms) + 1)
         bessel = special.jv(ks, self.z)
         if not np.all(np.isfinite(bessel)) or abs(bessel[-1]) > 1e-13:
             raise PropagationError(
@@ -147,17 +183,18 @@ class _ChebyshevStepper:
         # drop the negligible tail, keeping a machine-precision remainder
         keep = max(np.nonzero(np.abs(self.coeff) > 1e-16)[0].max() + 1, 2)
         self.coeff = self.coeff[:keep]
-        self._H = H
-
-    def _apply_scaled(self, v: np.ndarray) -> np.ndarray:
-        return (self._H.matvec(v) - self.center * v) / self.radius
+        # 2A, exactly: each term of the recurrence is one matvec and one axpy
+        self._twice_a = HermitianOperator(
+            H.basis, 2.0 * (H.diag - d) / self.radius,
+            2.0 * H.upper / self.radius)
+        self.phase = np.exp(-1j * d * dt_fs / _HBAR)
 
     def step(self, v: np.ndarray) -> np.ndarray:
         t_prev = v
-        t_cur = self._apply_scaled(v)
+        t_cur = 0.5 * self._twice_a.matvec(v)
         acc = self.coeff[0] * t_prev + self.coeff[1] * t_cur
         for ck in self.coeff[2:]:
-            t_prev, t_cur = t_cur, 2.0 * self._apply_scaled(t_cur) - t_prev
+            t_prev, t_cur = t_cur, self._twice_a.matvec(t_cur) - t_prev
             acc += ck * t_cur
         return self.phase * acc
 
@@ -203,7 +240,7 @@ def propagate(H: HermitianOperator, psi0: StateVector, total_time_fs: float,
     if cfg.method == EIGEN_ORACLE:
         evolve = _eigen_route(H, psi0)
     elif intervals:
-        step = _ChebyshevStepper(H, total_time_fs / intervals).step
+        step = _ChebyshevStepper(H, total_time_fs / intervals, intervals).step
     amps = psi0.amplitudes
     chunk = max(CHUNK_AMPLITUDES // basis.dimension, 1)
     for a in range(0, times.size, chunk):

@@ -567,6 +567,28 @@ class TestCliEntry:
         assert time.perf_counter() - start < 30.0
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("name,sets,remedy", [
+        # one step of about 7e298 fs
+        ("fig2a", ["gate.theta_rad=1e300"], "propagator.sample_every_fs"),
+        # 200 steps of 5e4 fs, each about 2.3e6 terms
+        ("s1_bragg", ["run.total_time_fs=1e7"], "propagator.sample_every_fs"),
+        # 1e5 steps of 10 fs, about 6e7 matvecs in all
+        ("s1_bragg", ["run.total_time_fs=1e6",
+                      "propagator.sample_every_fs=10"], "run.total_time_fs"),
+    ])
+    def test_chebyshev_cost_bound_exit_code(self, tmp_path, name, sets,
+                                            remedy):
+        start = time.perf_counter()
+        args = ["run", name, "--out", str(tmp_path), "--set",
+                "propagator.method=fixed_step"]
+        for item in sets:
+            args += ["--set", item]
+        result = CliRunner().invoke(cli, args)
+        assert result.exit_code == 2, result.output
+        assert remedy in result.output and "eigen route" in result.output
+        assert time.perf_counter() - start < 30.0
+        assert not any(tmp_path.iterdir())
+
     def test_non_finite_summary_refused_before_any_file(self, tmp_path):
         # g / omega_L overflows to inf: refused by key, not written as
         # "Infinity", which is not JSON

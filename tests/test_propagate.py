@@ -17,6 +17,7 @@ from feqo_lab.hilbert import StateVector, electron_populations
 from feqo_lab.propagate import EIGEN_ORACLE, FIXED_STEP, _ChebyshevStepper
 
 from conftest import random_state
+from test_acceptance import _acceptance_scenarios
 
 HBAR = CODATA2018.hbar_eV_fs
 PROPAGATE = importlib.import_module("feqo_lab.propagate")
@@ -288,6 +289,32 @@ class TestSamplingContract:
             with pytest.raises(DomainError, match="more than 4 intervals"):
                 propagate(h, psi0, 10.0, PropagatorConfig(sample_every_fs=gap))
 
+    def test_chebyshev_cost_bounds(self, vacuum_block, monkeypatch):
+        # 4 intervals of 2.5 fs: about 62 terms a step, about 248 matvecs
+        basis, h = vacuum_block
+        psi0 = basis_ket(basis, (0.5,), 0)
+        cfg = PropagatorConfig(method=FIXED_STEP, sample_every_fs=2.5)
+        monkeypatch.setattr(PROPAGATE, "MAX_TERMS", 63)
+        monkeypatch.setattr(PROPAGATE, "MAX_MATVECS", 250)
+        assert len(propagate(h, psi0, 10.0, cfg).times_fs) == 5
+        monkeypatch.setattr(PROPAGATE, "MAX_TERMS", 61)
+        with pytest.raises(DomainError, match=r"more than 61; lower "
+                           r"propagator\.sample_every_fs or use the eigen"):
+            propagate(h, psi0, 10.0, cfg)
+        monkeypatch.setattr(PROPAGATE, "MAX_TERMS", 63)
+        monkeypatch.setattr(PROPAGATE, "MAX_MATVECS", 245)
+        with pytest.raises(DomainError, match=r"more than 245 matvecs; "
+                           r"shorten run\.total_time_fs or use the eigen"):
+            propagate(h, psi0, 10.0, cfg)
+
+    def test_unaffordable_step_refused_before_allocating(self, vacuum_block,
+                                                          monkeypatch):
+        basis, h = vacuum_block
+        monkeypatch.setattr(PROPAGATE.special, "jv", None)   # never reached
+        with pytest.raises(DomainError, match="Chebyshev step"):
+            propagate(h, basis_ket(basis, (0.5,), 0), 1e300,
+                      PropagatorConfig(method=FIXED_STEP))
+
     def test_invalid_config(self):
         with pytest.raises(DomainError):
             PropagatorConfig(method="leapfrog")
@@ -437,3 +464,56 @@ class TestBlockRoute:
         for t in (0.3, 25.0):
             assert np.max(np.abs(propagate_eigen(h, psi0, t).amplitudes
                                  - self.dense_evolution(h, psi0, t))) < 1e-10
+
+
+class TestBlockShift:
+    """The Chebyshev route shifts each block of H by its own centre."""
+
+    @staticmethod
+    def kept_terms(h, dt):
+        return len(_ChebyshevStepper(h, dt, 1).coeff)
+
+    def test_block_energy_offset_costs_no_terms(self, fig2a_params, rng):
+        # two decoupled copies of a JC operator, the second 1000 eV higher
+        one = build_jc(fig2a_params, make_basis(1, qubit_window(), 5))
+        basis = make_basis(1, qubit_window(), 11)
+        two = HermitianOperator(
+            basis, np.concatenate([one.diag, one.diag + 1000.0]),
+            sparse.block_diag([one.upper, one.upper], format="csr"))
+        assert self.kept_terms(two, 10.0) == self.kept_terms(one, 10.0) < 60
+        psi0 = StateVector(basis, random_state(rng, basis.dimension))
+        eigen, fixed = (propagate(two, psi0, 100.0, PropagatorConfig(
+            method=method, sample_every_fs=10.0))
+            for method in (EIGEN_ORACLE, FIXED_STEP))
+        assert np.max(np.abs(eigen.final_state.amplitudes
+                             - fixed.final_state.amplitudes)) < 1e-10
+        assert np.max(np.abs(eigen.populations - fixed.populations)) < 1e-10
+
+    def test_one_block_keeps_the_whole_interval_centre(self, rng):
+        basis = make_basis(2, qubit_window(), 3)
+        h = random_hermitian(rng, basis, scale=2.0)
+        lo, hi = h.gershgorin_interval()
+        stepper = _ChebyshevStepper(h, 0.5, 1)
+        assert np.all(stepper.centres == 0.5 * (hi + lo))
+        assert stepper.radius == 0.5 * (hi - lo) * 1.01 + 1e-12
+
+    def test_wrong_blocks_fail_closed(self, rng, monkeypatch):
+        basis = make_basis(2, qubit_window(), 3)
+        h = random_hermitian(rng, basis, scale=2.0)
+        half = basis.dimension // 2
+        monkeypatch.setattr(h, "blocks", lambda: np.split(
+            np.arange(basis.dimension), [half]))
+        psi0 = StateVector(basis, random_state(rng, basis.dimension))
+        with pytest.raises(PropagationError, match="block centres"):
+            propagate(h, psi0, 5.0, PropagatorConfig(method=FIXED_STEP))
+
+    # kept terms of one step at criterion 10's dt = T / 50; a whole-H
+    # interval kept 851, 38, 4299, 3338, 6224, 605 and 201
+    @pytest.mark.parametrize("name,bound", [
+        ("fig2a", 80), ("fig2a_strong", 15), ("fig2b", 40),
+        ("fig3_gate1", 35), ("s1", 1300), ("s2", 90), ("wstate_analog", 10),
+    ])
+    def test_acceptance_scenario_term_counts(self, name, bound):
+        h, _, total = next(case[1:] for case in _acceptance_scenarios()
+                           if case[0] == name)
+        assert self.kept_terms(h, total / 50) <= bound
