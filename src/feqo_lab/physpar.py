@@ -157,7 +157,16 @@ def quantization_volume(omega_L_rad_per_fs: float,
     if omega_L_rad_per_fs <= 0 or E_z_tilde_V_per_m <= 0:
         raise DomainError("omega_L and E_z_tilde must be positive")
     photon_energy_J = omega_L_rad_per_fs * 1e15 * CODATA2018.hbar_J_s
-    return photon_energy_J / (2.0 * CODATA2018.eps0 * E_z_tilde_V_per_m ** 2)
+    try:
+        volume = photon_energy_J / (2.0 * CODATA2018.eps0
+                                    * E_z_tilde_V_per_m ** 2)
+    except (OverflowError, ZeroDivisionError):
+        volume = math.nan
+    if not 0.0 < volume < math.inf:
+        raise DomainError(
+            f"E_z_tilde_V_per_m = {E_z_tilde_V_per_m:.6g} V/m puts the "
+            f"quantization volume outside the floating-point range")
+    return volume
 
 
 @dataclass(frozen=True)
@@ -291,7 +300,14 @@ def make_scenario(*, beta: float, photon_energy_eV: float,
     if box_edge_nm is not None:
         if box_edge_nm <= 0:
             raise DomainError("box edge must be positive")
-        volume = (box_edge_nm * 1e-9) ** 3
+        try:
+            volume = (box_edge_nm * 1e-9) ** 3
+        except OverflowError:
+            volume = math.inf
+        if not 0.0 < volume < math.inf:
+            raise DomainError(
+                f"box_edge_nm = {box_edge_nm:.6g} nm puts the box volume "
+                f"outside the floating-point range")
         mode = ModeQuantization(single_photon_amplitude(omega_L, volume),
                                 volume, authoritative="volume")
     elif box_volume_m3 is not None:

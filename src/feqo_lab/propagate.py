@@ -1,15 +1,22 @@
 """Norm-conserving time evolution under a constant Hermitian operator.
 
-Two routes: EIGEN_ORACLE diagonalizes once each block of H in which the
-initial state has weight and applies exact phase factors; FIXED_STEP advances
-the whole state in equal intervals.  It shifts each block of H by the centre
-D of that block's Gershgorin interval, applies exp(-i D dt / hbar) as a
-per-state phase and expands exp(-i (H - D) dt / hbar) in Chebyshev
-polynomials to machine precision, so the degree follows the widest block, not
-the spread of the block energies.  It needs no eigendecomposition, and a step
-or a run whose Chebyshev cost exceeds MAX_TERMS or MAX_MATVECS is refused
-before it starts.  The two routes are algorithmically independent and are
-cross-checked in the tests.
+Both routes solve only the blocks of H in which the initial state has
+weight: H never joins two blocks, so every other block stays exactly zero.
+EIGEN_ORACLE diagonalizes each of those blocks once and applies exact phase
+factors.  FIXED_STEP advances the state in equal intervals by one step
+operator U = exp(-i H dt / hbar), built once per propagation and stored as
+one sparse matrix of sum(b^2) entries over the solved blocks, so a step is
+one sparse matvec.  U comes from a Chebyshev expansion, with no
+eigendecomposition: each block of H is shifted by the centre D of its
+Gershgorin interval, exp(-i D dt / hbar) is a per-block phase, and
+exp(-i (H - D) dt / hbar) is expanded to machine precision, so the degree
+follows the widest solved block, not the spread of the block energies.  The
+expansion runs once, on as many probe columns as the largest solved block
+has states; column j holds 1 on the j-th state of every solved block, so
+the blocks of U come out side by side.  A step or a run whose Chebyshev cost
+exceeds MAX_TERMS or MAX_MATVECS, or a probe above MAX_PROBE_AMPLITUDES, is
+refused before it starts.  The two routes are algorithmically independent
+and are cross-checked in the tests.
 
 Both routes sample one grid.  A propagation of length T with sample gap D is
 split into K = ceil(T / D) equal intervals (K = 0 when T = 0); the samples
@@ -24,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
+from scipy import sparse, special
 
 from .errors import BasisError, DomainError, PropagationError
 from .hamiltonian import HermitianOperator
@@ -41,6 +48,7 @@ EIGEN_DIM_CAP = 4000        # largest block EIGEN_ORACLE solves
 MAX_INTERVALS = 10 ** 6     # sample intervals one propagation may hold
 MAX_TERMS = 10 ** 5         # Chebyshev terms one FIXED_STEP interval may take
 MAX_MATVECS = 10 ** 7       # matvecs one FIXED_STEP propagation may take
+MAX_PROBE_AMPLITUDES = 2 ** 23  # dimension x largest solved block, per array
 CHUNK_AMPLITUDES = 2 ** 18  # amplitudes (4 MiB) reduced to metrics at once
 
 
@@ -103,14 +111,19 @@ def _sample_metrics(basis, amps: np.ndarray):
             schmidt_entropy(amps, basis), np.sqrt(probs.sum(axis=-1)))
 
 
-def _eigen_route(H: HermitianOperator, psi0: StateVector):
-    """times -> (len(times), dim) amplitudes of V exp(-i L t / hbar) V^dag psi0,
-    solving only the blocks of H where psi0 has weight: H never joins two
-    blocks, so every other block stays exactly zero."""
+def _occupied_blocks(H: HermitianOperator, psi0: StateVector
+                     ) -> list[np.ndarray]:
+    """The blocks of H where psi0 has weight: H never joins two blocks, so
+    every other block stays exactly zero."""
     support = psi0.amplitudes != 0
     # a zero state stays zero under any one block
-    occupied = [idx for idx in H.blocks() if support[idx].any()] \
-        or H.blocks()[:1]
+    return [idx for idx in H.blocks() if support[idx].any()] or H.blocks()[:1]
+
+
+def _eigen_route(H: HermitianOperator, psi0: StateVector):
+    """times -> (len(times), dim) amplitudes of V exp(-i L t / hbar) V^dag psi0,
+    solving only the occupied blocks of H."""
+    occupied = _occupied_blocks(H, psi0)
     largest = max(idx.size for idx in occupied)
     if largest > EIGEN_DIM_CAP:
         raise PropagationError(
@@ -132,32 +145,47 @@ def propagate_eigen(H: HermitianOperator, psi0: StateVector, t_fs: float
 
 
 class _ChebyshevStepper:
-    """Applies exp(-i H dt / hbar) as exp(-i D dt / hbar) exp(-i (H - D) dt /
-    hbar), the second factor as a Chebyshev expansion in A = (H - D) / radius.
+    """exp(-i H dt / hbar) on the solved blocks of H (every block by
+    default), built once as the sparse matrix u, so a step is one matvec.
 
-    D holds, for each state, the midpoint of its block's Gershgorin interval,
-    and radius is half the widest block's interval: the expansion spans one
-    block's width, not the spread of the block energies.  D is constant on
-    every block, so it commutes with H and the split is exact; that is
-    checked on every coupling of H, not taken from H.blocks().
+    u = exp(-i D dt / hbar) p(A): D holds, for each solved state, the
+    midpoint of its block's Gershgorin interval, and p is the Chebyshev
+    expansion of exp(-i (H - D) dt / hbar) in A = (H - D) / radius, radius
+    being half the widest solved block's interval.  p(A) is applied once, to
+    the probe columns of the module docstring.  Both need every coupling of H
+    to stay inside one solved block or among unsolved states; that is checked
+    on H's couplings, not taken from the blocks given.
     """
 
-    def __init__(self, H: HermitianOperator, dt_fs: float, steps: int):
-        blocks = H.blocks()
+    def __init__(self, H: HermitianOperator, dt_fs: float, steps: int,
+                 blocks: list[np.ndarray] | None = None):
+        blocks = H.blocks() if blocks is None else blocks
         order = np.concatenate(blocks)
         sizes = np.array([idx.size for idx in blocks])
         starts = np.cumsum(sizes) - sizes
+        width = int(sizes.max())
+        if not H.dimension * width <= MAX_PROBE_AMPLITUDES:
+            raise DomainError(
+                f"the largest block of H that the state occupies has {width} "
+                f"states; probing it on all {H.dimension} states takes more "
+                f"than {MAX_PROBE_AMPLITUDES} amplitudes; lower "
+                f"basis.num_electrons, basis.sidebands or basis.fock_cutoff, "
+                f"or use the eigen route")
+        label = np.full(H.dimension, -1)   # block of each state, -1 unsolved
+        label[order] = np.repeat(np.arange(len(blocks)), sizes)
+        upper = H.upper.tocoo()
+        joined = upper.data != 0
+        if np.any(label[upper.row[joined]] != label[upper.col[joined]]):
+            raise PropagationError(
+                "a coupling of H joins two different blocks, so the block "
+                "centres do not commute with H: H.blocks() does not follow "
+                "H's couplings")
         radii = H.gershgorin_radii()[order]
         lo = np.minimum.reduceat(H.diag[order] - radii, starts)
         hi = np.maximum.reduceat(H.diag[order] + radii, starts)
-        self.centres = d = np.empty(H.dimension)
+        # unsolved states keep their own diagonal, so A is zero on them
+        self.centres = d = H.diag.copy()
         d[order] = np.repeat(0.5 * (hi + lo), sizes)
-        upper = H.upper.tocoo()
-        joined = upper.data != 0
-        if np.any(d[upper.row[joined]] != d[upper.col[joined]]):
-            raise PropagationError(
-                "a coupling of H joins two states with different block "
-                "centres: H.blocks() does not follow H's couplings")
         # small pad keeps the map inside [-1, 1]
         self.radius = 0.5 * np.max(hi - lo) * 1.01 + 1e-12
         self.dt = dt_fs
@@ -183,20 +211,30 @@ class _ChebyshevStepper:
         # drop the negligible tail, keeping a machine-precision remainder
         keep = max(np.nonzero(np.abs(self.coeff) > 1e-16)[0].max() + 1, 2)
         self.coeff = self.coeff[:keep]
-        # 2A, exactly: each term of the recurrence is one matvec and one axpy
-        self._twice_a = HermitianOperator(
-            H.basis, 2.0 * (H.diag - d) / self.radius,
-            2.0 * H.upper / self.radius)
-        self.phase = np.exp(-1j * d * dt_fs / _HBAR)
 
-    def step(self, v: np.ndarray) -> np.ndarray:
-        t_prev = v
-        t_cur = 0.5 * self._twice_a.matvec(v)
+        # position in `order` of each solved state's block start, and the
+        # state's column in its block
+        first = np.repeat(starts, sizes)
+        col = np.arange(order.size) - first
+        probe = np.zeros((H.dimension, width), dtype=np.complex128)
+        probe[order, col] = 1.0
+        twice_a = HermitianOperator(H.basis, 2.0 * (H.diag - d) / self.radius,
+                                    2.0 * H.upper / self.radius)
+        t_prev, t_cur = probe, 0.5 * twice_a.matvec(probe)
         acc = self.coeff[0] * t_prev + self.coeff[1] * t_cur
         for ck in self.coeff[2:]:
-            t_prev, t_cur = t_cur, self._twice_a.matvec(t_cur) - t_prev
+            t_prev, t_cur = t_cur, twice_a.matvec(t_cur) - t_prev
             acc += ck * t_cur
-        return self.phase * acc
+        # u[r, c] for r, c in one block is acc[r, column of c] times that
+        # block's phase: one entry per pair, sum of b^2 over the blocks
+        at, j = np.nonzero(np.arange(width) < np.repeat(sizes, sizes)[:, None])
+        rows = order[at]
+        self.u = sparse.csr_matrix(
+            (acc[rows, j] * np.exp(-1j * d[rows] * dt_fs / _HBAR),
+             (rows, order[first[at] + j])), shape=(H.dimension, H.dimension))
+
+    def step(self, v: np.ndarray) -> np.ndarray:
+        return self.u @ v
 
 
 def _interval_count(total_time_fs: float, sample_every_fs: float) -> int:
@@ -220,7 +258,7 @@ def propagate(H: HermitianOperator, psi0: StateVector, total_time_fs: float,
     sample_every defaulting to T / 200, and the samples sit at T k / K for
     k = 0 .. K: the first is psi0 and the last, at T, is the final state.
     EIGEN_ORACLE evaluates the exact evolution at each sample time; FIXED_STEP
-    applies one Chebyshev step of T / K per interval.  Norm drift beyond
+    applies the step operator of T / K once per interval.  Norm drift beyond
     config.norm_tol at any sample aborts with a step-size diagnostic.
     """
     if not total_time_fs >= 0:
@@ -240,7 +278,8 @@ def propagate(H: HermitianOperator, psi0: StateVector, total_time_fs: float,
     if cfg.method == EIGEN_ORACLE:
         evolve = _eigen_route(H, psi0)
     elif intervals:
-        step = _ChebyshevStepper(H, total_time_fs / intervals, intervals).step
+        step = _ChebyshevStepper(H, total_time_fs / intervals, intervals,
+                                 _occupied_blocks(H, psi0)).step
     amps = psi0.amplitudes
     chunk = max(CHUNK_AMPLITUDES // basis.dimension, 1)
     for a in range(0, times.size, chunk):

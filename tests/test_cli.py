@@ -589,6 +589,20 @@ class TestCliEntry:
         assert time.perf_counter() - start < 30.0
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("name,key,value", [
+        ("fig2a", "box_edge_nm", "1e300"),          # box volume overflows
+        ("fig2b", "E_z_tilde_V_per_m", "1e300"),    # E_z ** 2 overflows
+        ("fig2b", "E_z_tilde_V_per_m", "1e-300"),   # E_z ** 2 underflows to 0
+    ])
+    def test_mode_scale_outside_float_range_exit_code(self, tmp_path, name,
+                                                      key, value):
+        result = CliRunner().invoke(cli, [
+            "run", name, "--out", str(tmp_path), "--set",
+            f"mode.{key}={value}"])
+        assert result.exit_code == 2, result.output
+        assert key in result.output
+        assert not any(tmp_path.iterdir())
+
     def test_non_finite_summary_refused_before_any_file(self, tmp_path):
         # g / omega_L overflows to inf: refused by key, not written as
         # "Infinity", which is not JSON

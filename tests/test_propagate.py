@@ -1,10 +1,12 @@
 import dataclasses
 import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.linalg import expm
 
 from feqo_lab import (CODATA2018, DomainError, PropagationError,
                       PropagatorConfig, basis_ket, build_dispersive_xy,
@@ -12,6 +14,7 @@ from feqo_lab import (CODATA2018, DomainError, PropagationError,
                       coherent_state, default_window, excitation_observable,
                       make_basis, propagate, propagate_eigen, qubit_window,
                       tensor_product)
+from feqo_lab.cli import run_wstate
 from feqo_lab.hamiltonian import HermitianOperator
 from feqo_lab.hilbert import StateVector, electron_populations
 from feqo_lab.propagate import EIGEN_ORACLE, FIXED_STEP, _ChebyshevStepper
@@ -315,6 +318,40 @@ class TestSamplingContract:
             propagate(h, basis_ket(basis, (0.5,), 0), 1e300,
                       PropagatorConfig(method=FIXED_STEP))
 
+    def test_probe_cap(self, vacuum_block, monkeypatch):
+        # the occupied block {|e,0>, |g,1>}: 2 probe columns on 4 states
+        basis, h = vacuum_block
+        psi0 = basis_ket(basis, (0.5,), 0)
+        cfg = PropagatorConfig(method=FIXED_STEP, sample_every_fs=2.5)
+        monkeypatch.setattr(PROPAGATE, "MAX_PROBE_AMPLITUDES", 8)
+        assert len(propagate(h, psi0, 10.0, cfg).times_fs) == 5
+        monkeypatch.setattr(PROPAGATE, "MAX_PROBE_AMPLITUDES", 7)
+        with pytest.raises(DomainError, match=r"more than 7 amplitudes; "
+                           r"lower basis\.num_electrons, basis\.sidebands or "
+                           r"basis\.fock_cutoff"):
+            propagate(h, psi0, 10.0, cfg)
+
+    def test_unaffordable_probe_refused_before_allocating(self, strong_params,
+                                                          rng, monkeypatch):
+        # 6696 states in blocks of at most 216: each probe array would take
+        # 6696 * 216 * 16 B = 23 MB
+        basis = make_basis(3, default_window(6), 30)
+        h = build_pinem(strong_params, basis)
+        psi0 = StateVector(basis, random_state(rng, basis.dimension))
+        h.blocks()   # cached before the measured call
+        monkeypatch.setattr(PROPAGATE, "MAX_PROBE_AMPLITUDES",
+                            basis.dimension * 216 - 1)
+        monkeypatch.setattr(PROPAGATE.special, "jv", None)   # never reached
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="216 states"):
+                propagate(h, psi0, 2.0, PropagatorConfig(
+                    method=FIXED_STEP, sample_every_fs=0.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
     def test_invalid_config(self):
         with pytest.raises(DomainError):
             PropagatorConfig(method="leapfrog")
@@ -507,6 +544,24 @@ class TestBlockShift:
         with pytest.raises(PropagationError, match="block centres"):
             propagate(h, psi0, 5.0, PropagatorConfig(method=FIXED_STEP))
 
+    def test_equal_centre_split_fails_closed(self, vacuum_block, monkeypatch):
+        # [[0, g], [g, 0]] split into two singletons: both centres are 0
+        basis, h = vacuum_block
+        assert not np.any(h.diag)
+        singletons = [np.array([k]) for k in range(basis.dimension)]
+        with pytest.raises(PropagationError, match="block centres"):
+            _ChebyshevStepper(h, 0.5, 1, singletons)
+        monkeypatch.setattr(h, "blocks", lambda: singletons)
+        with pytest.raises(PropagationError, match="block centres"):
+            propagate(h, basis_ket(basis, (0.5,), 0), 5.0,
+                      PropagatorConfig(method=FIXED_STEP))
+
+    def test_coupling_to_an_unsolved_state_fails_closed(self, vacuum_block):
+        basis, h = vacuum_block
+        excited = np.array([basis.encode((0.5,), 0)])   # its partner |g,1>
+        with pytest.raises(PropagationError, match="block centres"):
+            _ChebyshevStepper(h, 0.5, 1, [excited])
+
     # kept terms of one step at criterion 10's dt = T / 50; a whole-H
     # interval kept 851, 38, 4299, 3338, 6224, 605 and 201
     @pytest.mark.parametrize("name,bound", [
@@ -517,3 +572,55 @@ class TestBlockShift:
         h, _, total = next(case[1:] for case in _acceptance_scenarios()
                            if case[0] == name)
         assert self.kept_terms(h, total / 50) <= bound
+
+
+class TestStepOperator:
+    """The probed step operator against scipy.linalg.expm, block by block."""
+
+    @staticmethod
+    def check(h, dt, blocks=None):
+        stepper = _ChebyshevStepper(h, dt, 1, blocks)
+        u, dense = stepper.u.toarray(), h.to_dense()
+        outside = np.ones(u.shape, dtype=bool)
+        for idx in h.blocks() if blocks is None else blocks:
+            cut = np.ix_(idx, idx)
+            u_b = u[cut]
+            assert np.max(np.abs(u_b - expm(-1j * dense[cut] * dt / HBAR))) \
+                < 1e-12
+            assert np.max(np.abs(u_b.conj().T @ u_b - np.eye(idx.size))) \
+                < 1e-13
+            outside[cut] = False
+        assert not np.any(u[outside])
+        assert stepper.u.nnz <= sum(idx.size ** 2 for idx in h.blocks())
+
+    @pytest.mark.parametrize("case", ["pinem", "pinem_exact_kn", "jc", "tc",
+                                      "tc_active", "jc_interaction",
+                                      "dispersive_xy"])
+    @pytest.mark.parametrize("dt", [0.7, 13.0])
+    def test_builders_match_expm(self, case, dt, strong_params,
+                                 fig2b_params):
+        h = _block_cases(strong_params, fig2b_params)[case]
+        self.check(h, dt)
+        self.check(h, dt, h.blocks()[::2])   # every other block solved
+
+    @pytest.mark.parametrize("dt", [0.5, 3.0])
+    def test_dense_random_hermitian_matches_expm(self, rng, dt):
+        h = random_hermitian(rng, make_basis(2, qubit_window(), 3), scale=2.0)
+        assert len(h.blocks()) == 1
+        self.check(h, dt)
+
+    def test_register_probes_its_occupied_block(self, tmp_path, monkeypatch):
+        # analog W at N = 10: psi0 = |g...g, 1> occupies one block of N + 1
+        # states, so every probe matvec takes N + 1 columns
+        shapes = []
+        matvec = HermitianOperator.matvec
+
+        def spy(self, v):
+            shapes.append(v.shape)
+            return matvec(self, v)
+
+        monkeypatch.setattr(HermitianOperator, "matvec", spy)
+        record = run_wstate(10, "analog", overrides={
+            "propagator.method": FIXED_STEP}, out_dir=tmp_path, fmt="json")
+        assert shapes and {shape[1] for shape in shapes} == {11}
+        assert abs(record.metrics["fidelity_w"] - 1.0) < 1e-12
