@@ -46,9 +46,13 @@ class ModelKind(enum.Enum):
 
 @dataclass
 class HermitianOperator:
-    """Sparse Hermitian matrix: real diagonal + strictly upper triangle."""
+    """Sparse Hermitian matrix: real diagonal + strictly upper triangle.
 
-    basis: BasisSpec
+    basis is None for an operator on states that no BasisSpec spans, such as
+    the solved blocks of another operator.
+    """
+
+    basis: BasisSpec | None
     diag: np.ndarray
     upper: sparse.csr_matrix
 
@@ -59,8 +63,9 @@ class HermitianOperator:
 
     def __post_init__(self):
         self.diag = np.asarray(self.diag, dtype=np.float64)
-        n = self.basis.dimension
-        if self.diag.shape != (n,) or self.upper.shape != (n, n):
+        n = self.diag.size
+        if (self.diag.ndim != 1 or self.upper.shape != (n, n)
+                or self.basis is not None and self.basis.dimension != n):
             raise BasisError("operator storage does not match basis dimension")
         low = sparse.tril(self.upper, k=0)
         if low.nnz:
@@ -68,7 +73,7 @@ class HermitianOperator:
 
     @property
     def dimension(self) -> int:
-        return self.basis.dimension
+        return self.diag.size
 
     @property
     def nnz(self) -> int:

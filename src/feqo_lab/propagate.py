@@ -4,19 +4,21 @@ Both routes solve only the blocks of H in which the initial state has
 weight: H never joins two blocks, so every other block stays exactly zero.
 EIGEN_ORACLE diagonalizes each of those blocks once and applies exact phase
 factors.  FIXED_STEP advances the state in equal intervals by one step
-operator U = exp(-i H dt / hbar), built once per propagation and stored as
-one sparse matrix of sum(b^2) entries over the solved blocks, so a step is
-one sparse matvec.  U comes from a Chebyshev expansion, with no
-eigendecomposition: each block of H is shifted by the centre D of its
+operator U = exp(-i H dt / hbar) from a Chebyshev expansion, with no
+eigendecomposition: each solved block of H is shifted by the centre D of its
 Gershgorin interval, exp(-i D dt / hbar) is a per-block phase, and
 exp(-i (H - D) dt / hbar) is expanded to machine precision, so the degree
 follows the widest solved block, not the spread of the block energies.  The
-expansion runs once, on as many probe columns as the largest solved block
-has states; column j holds 1 on the j-th state of every solved block, so
-the blocks of U come out side by side.  A step or a run whose Chebyshev cost
-exceeds MAX_TERMS or MAX_MATVECS, or a probe above MAX_PROBE_AMPLITUDES, is
-refused before it starts.  The two routes are algorithmically independent
-and are cross-checked in the tests.
+expansion runs on H restricted to the solved states.  When the run has at
+least as many intervals as the largest solved block has states, it runs
+once, on that many probe columns: column j holds 1 on the j-th state of
+every solved block, so the blocks of U come out side by side, and U is kept
+as one sparse matrix of sum(b^2) entries, so a step is one sparse matvec.
+Otherwise, or when the probe would exceed MAX_PROBE_AMPLITUDES, the
+expansion runs on the state in every interval.  A step or a run whose
+Chebyshev cost exceeds MAX_TERMS or MAX_MATVECS is refused before it starts.
+The two routes are algorithmically independent and are cross-checked in the
+tests.
 
 Both routes sample one grid.  A propagation of length T with sample gap D is
 split into K = ceil(T / D) equal intervals (K = 0 when T = 0); the samples
@@ -47,8 +49,8 @@ FIXED_STEP = "fixed_step"
 EIGEN_DIM_CAP = 4000        # largest block EIGEN_ORACLE solves
 MAX_INTERVALS = 10 ** 6     # sample intervals one propagation may hold
 MAX_TERMS = 10 ** 5         # Chebyshev terms one FIXED_STEP interval may take
-MAX_MATVECS = 10 ** 7       # matvecs one FIXED_STEP propagation may take
-MAX_PROBE_AMPLITUDES = 2 ** 23  # dimension x largest solved block, per array
+MAX_MATVECS = 10 ** 7       # steps x terms of one FIXED_STEP propagation
+MAX_PROBE_AMPLITUDES = 2 ** 23  # solved states x largest solved block
 CHUNK_AMPLITUDES = 2 ** 18  # amplitudes (4 MiB) reduced to metrics at once
 
 
@@ -146,31 +148,27 @@ def propagate_eigen(H: HermitianOperator, psi0: StateVector, t_fs: float
 
 class _ChebyshevStepper:
     """exp(-i H dt / hbar) on the solved blocks of H (every block by
-    default), built once as the sparse matrix u, so a step is one matvec.
+    default), zero on every other state.
 
-    u = exp(-i D dt / hbar) p(A): D holds, for each solved state, the
+    The step is exp(-i D dt / hbar) p(A): D holds, for each solved state, the
     midpoint of its block's Gershgorin interval, and p is the Chebyshev
     expansion of exp(-i (H - D) dt / hbar) in A = (H - D) / radius, radius
-    being half the widest solved block's interval.  p(A) is applied once, to
-    the probe columns of the module docstring.  Both need every coupling of H
-    to stay inside one solved block or among unsolved states; that is checked
-    on H's couplings, not taken from the blocks given.
+    being half the widest solved block's interval.  A is H restricted to the
+    solved states.  That restriction and the per-block phase are exact only
+    when every coupling of H stays inside one solved block or among unsolved
+    states; that is checked on H's couplings, not taken from the blocks
+    given.  When the probe of the module docstring pays (no wider than
+    `steps`) and fits in MAX_PROBE_AMPLITUDES, p(A) is applied to it once
+    and the step is the sparse matrix u; otherwise u is None and each step
+    runs the expansion on the state, in memory linear in the solved states.
     """
 
     def __init__(self, H: HermitianOperator, dt_fs: float, steps: int,
                  blocks: list[np.ndarray] | None = None):
         blocks = H.blocks() if blocks is None else blocks
-        order = np.concatenate(blocks)
+        self.order = order = np.concatenate(blocks)
         sizes = np.array([idx.size for idx in blocks])
         starts = np.cumsum(sizes) - sizes
-        width = int(sizes.max())
-        if not H.dimension * width <= MAX_PROBE_AMPLITUDES:
-            raise DomainError(
-                f"the largest block of H that the state occupies has {width} "
-                f"states; probing it on all {H.dimension} states takes more "
-                f"than {MAX_PROBE_AMPLITUDES} amplitudes; lower "
-                f"basis.num_electrons, basis.sidebands or basis.fock_cutoff, "
-                f"or use the eigen route")
         label = np.full(H.dimension, -1)   # block of each state, -1 unsolved
         label[order] = np.repeat(np.arange(len(blocks)), sizes)
         upper = H.upper.tocoo()
@@ -183,9 +181,7 @@ class _ChebyshevStepper:
         radii = H.gershgorin_radii()[order]
         lo = np.minimum.reduceat(H.diag[order] - radii, starts)
         hi = np.maximum.reduceat(H.diag[order] + radii, starts)
-        # unsolved states keep their own diagonal, so A is zero on them
-        self.centres = d = H.diag.copy()
-        d[order] = np.repeat(0.5 * (hi + lo), sizes)
+        self.centres = d = np.repeat(0.5 * (hi + lo), sizes)   # along order
         # small pad keeps the map inside [-1, 1]
         self.radius = 0.5 * np.max(hi - lo) * 1.01 + 1e-12
         self.dt = dt_fs
@@ -198,7 +194,7 @@ class _ChebyshevStepper:
                 f"propagator.sample_every_fs or use the eigen route")
         if not steps * terms <= MAX_MATVECS:
             raise DomainError(
-                f"{steps} Chebyshev steps of about {terms:.0f} terms take more "
+                f"{steps} steps x about {terms:.0f} Chebyshev terms is more "
                 f"than {MAX_MATVECS} matvecs; shorten run.total_time_fs or "
                 f"use the eigen route")
         ks = np.arange(math.ceil(terms) + 1)
@@ -211,30 +207,56 @@ class _ChebyshevStepper:
         # drop the negligible tail, keeping a machine-precision remainder
         keep = max(np.nonzero(np.abs(self.coeff) > 1e-16)[0].max() + 1, 2)
         self.coeff = self.coeff[:keep]
+        # 2A, exactly: each term of the recurrence is one matvec and one axpy
+        self._twice_a = HermitianOperator(
+            None, 2.0 * (H.diag[order] - d) / self.radius,
+            2.0 * sparse.triu(H.to_csr()[order][:, order], k=1, format="csr")
+            / self.radius)
+        self.phase = np.exp(-1j * d * dt_fs / _HBAR)
+        self.dimension = H.dimension
 
+        width = int(sizes.max())
+        self.u = None
+        # the probe costs `width` expansions, streaming one per step
+        if width > steps or order.size * width > MAX_PROBE_AMPLITUDES:
+            return
         # position in `order` of each solved state's block start, and the
         # state's column in its block
         first = np.repeat(starts, sizes)
         col = np.arange(order.size) - first
-        probe = np.zeros((H.dimension, width), dtype=np.complex128)
-        probe[order, col] = 1.0
-        twice_a = HermitianOperator(H.basis, 2.0 * (H.diag - d) / self.radius,
-                                    2.0 * H.upper / self.radius)
-        t_prev, t_cur = probe, 0.5 * twice_a.matvec(probe)
-        acc = self.coeff[0] * t_prev + self.coeff[1] * t_cur
-        for ck in self.coeff[2:]:
-            t_prev, t_cur = t_cur, twice_a.matvec(t_cur) - t_prev
-            acc += ck * t_cur
+        probe = np.zeros((order.size, width), dtype=np.complex128)
+        probe[np.arange(order.size), col] = 1.0
+        acc = self._expand(probe)
+        del probe   # garbage after the recurrence; freed before u is built
         # u[r, c] for r, c in one block is acc[r, column of c] times that
         # block's phase: one entry per pair, sum of b^2 over the blocks
         at, j = np.nonzero(np.arange(width) < np.repeat(sizes, sizes)[:, None])
-        rows = order[at]
+        data = acc[at, j]
+        del acc
+        data *= self.phase[at]
         self.u = sparse.csr_matrix(
-            (acc[rows, j] * np.exp(-1j * d[rows] * dt_fs / _HBAR),
-             (rows, order[first[at] + j])), shape=(H.dimension, H.dimension))
+            (data, (order[at], order[first[at] + j])),
+            shape=(H.dimension, H.dimension))
+
+    def _expand(self, x: np.ndarray) -> np.ndarray:
+        """p(A) x for x of shape (solved states,) or (solved states, k),
+        overwriting x: four arrays of x's size are live at once."""
+        t_prev, t_cur = x, self._twice_a.matvec(x)
+        t_cur *= 0.5
+        acc = self.coeff[1] * t_cur
+        acc += self.coeff[0] * t_prev
+        for ck in self.coeff[2:]:
+            np.subtract(self._twice_a.matvec(t_cur), t_prev, out=t_prev)
+            t_prev, t_cur = t_cur, t_prev
+            acc += ck * t_cur
+        return acc
 
     def step(self, v: np.ndarray) -> np.ndarray:
-        return self.u @ v
+        if self.u is not None:
+            return self.u @ v
+        out = np.zeros(self.dimension, dtype=np.complex128)
+        out[self.order] = self.phase * self._expand(v[self.order])
+        return out
 
 
 def _interval_count(total_time_fs: float, sample_every_fs: float) -> int:

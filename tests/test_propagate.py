@@ -318,39 +318,50 @@ class TestSamplingContract:
             propagate(h, basis_ket(basis, (0.5,), 0), 1e300,
                       PropagatorConfig(method=FIXED_STEP))
 
-    def test_probe_cap(self, vacuum_block, monkeypatch):
-        # the occupied block {|e,0>, |g,1>}: 2 probe columns on 4 states
+    def test_probe_or_stream(self, vacuum_block, monkeypatch):
+        # the occupied block {|e,0>, |g,1>}: 2 probe columns on 2 states
         basis, h = vacuum_block
-        psi0 = basis_ket(basis, (0.5,), 0)
-        cfg = PropagatorConfig(method=FIXED_STEP, sample_every_fs=2.5)
-        monkeypatch.setattr(PROPAGATE, "MAX_PROBE_AMPLITUDES", 8)
-        assert len(propagate(h, psi0, 10.0, cfg).times_fs) == 5
-        monkeypatch.setattr(PROPAGATE, "MAX_PROBE_AMPLITUDES", 7)
-        with pytest.raises(DomainError, match=r"more than 7 amplitudes; "
-                           r"lower basis\.num_electrons, basis\.sidebands or "
-                           r"basis\.fock_cutoff"):
-            propagate(h, psi0, 10.0, cfg)
+        block = [np.sort([basis.encode((0.5,), 0), basis.encode((-0.5,), 1)])]
+        assert any(np.array_equal(block[0], idx) for idx in h.blocks())
+        monkeypatch.setattr(PROPAGATE, "MAX_PROBE_AMPLITUDES", 4)
+        assert _ChebyshevStepper(h, 2.5, 2, block).u is not None
+        assert _ChebyshevStepper(h, 2.5, 1, block).u is None   # 1 interval
+        probed = propagate(h, basis_ket(basis, (0.5,), 0), 10.0,
+                           PropagatorConfig(method=FIXED_STEP,
+                                            sample_every_fs=2.5))
+        monkeypatch.setattr(PROPAGATE, "MAX_PROBE_AMPLITUDES", 3)
+        assert _ChebyshevStepper(h, 2.5, 2, block).u is None
+        streamed = propagate(h, basis_ket(basis, (0.5,), 0), 10.0,
+                             PropagatorConfig(method=FIXED_STEP,
+                                              sample_every_fs=2.5))
+        assert np.max(np.abs(probed.final_state.amplitudes
+                             - streamed.final_state.amplitudes)) < 1e-14
+        assert np.max(np.abs(probed.populations - streamed.populations)) \
+            < 1e-14
 
-    def test_unaffordable_probe_refused_before_allocating(self, strong_params,
-                                                          rng, monkeypatch):
-        # 6696 states in blocks of at most 216: each probe array would take
-        # 6696 * 216 * 16 B = 23 MB
+    def test_block_above_both_caps_streams_without_allocating(
+            self, strong_params, rng, monkeypatch):
+        # 6696 states in blocks of at most 216: a probe array would take
+        # 6696 * 216 * 16 B = 23 MB, and the run has more intervals than 216
         basis = make_basis(3, default_window(6), 30)
         h = build_pinem(strong_params, basis)
         psi0 = StateVector(basis, random_state(rng, basis.dimension))
-        h.blocks()   # cached before the measured call
+        exact = propagate_eigen(h, psi0, 0.5).amplitudes
+        h.to_csr()   # cached before the measured call
+        monkeypatch.setattr(PROPAGATE, "EIGEN_DIM_CAP", 215)
+        with pytest.raises(PropagationError, match="use FIXED_STEP"):
+            propagate_eigen(h, psi0, 0.5)
         monkeypatch.setattr(PROPAGATE, "MAX_PROBE_AMPLITUDES",
                             basis.dimension * 216 - 1)
-        monkeypatch.setattr(PROPAGATE.special, "jv", None)   # never reached
         tracemalloc.start()
         try:
-            with pytest.raises(DomainError, match="216 states"):
-                propagate(h, psi0, 2.0, PropagatorConfig(
-                    method=FIXED_STEP, sample_every_fs=0.5))
+            traj = propagate(h, psi0, 0.5, PropagatorConfig(
+                method=FIXED_STEP, sample_every_fs=0.5 / 220))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 ** 20
+        assert peak < 2 ** 24   # less than one probe array
+        assert np.max(np.abs(traj.final_state.amplitudes - exact)) < 1e-10
 
     def test_invalid_config(self):
         with pytest.raises(DomainError):
@@ -579,7 +590,9 @@ class TestStepOperator:
 
     @staticmethod
     def check(h, dt, blocks=None):
-        stepper = _ChebyshevStepper(h, dt, 1, blocks)
+        # as many steps as the widest block has states, so the probe pays
+        width = max(idx.size for idx in blocks or h.blocks())
+        stepper = _ChebyshevStepper(h, dt, width, blocks)
         u, dense = stepper.u.toarray(), h.to_dense()
         outside = np.ones(u.shape, dtype=bool)
         for idx in h.blocks() if blocks is None else blocks:
@@ -608,6 +621,22 @@ class TestStepOperator:
         h = random_hermitian(rng, make_basis(2, qubit_window(), 3), scale=2.0)
         assert len(h.blocks()) == 1
         self.check(h, dt)
+
+    @pytest.mark.parametrize("case", ["pinem", "tc_active",
+                                      "dispersive_xy"])
+    def test_streamed_step_matches_the_probed_one(self, case, rng,
+                                                   strong_params,
+                                                   fig2b_params, monkeypatch):
+        h = _block_cases(strong_params, fig2b_params)[case]
+        blocks = h.blocks()[::2]
+        v = random_state(rng, h.dimension)
+        probed = _ChebyshevStepper(h, 0.7, h.dimension, blocks)
+        monkeypatch.setattr(PROPAGATE, "MAX_PROBE_AMPLITUDES", 0)
+        streamed = _ChebyshevStepper(h, 0.7, h.dimension, blocks)
+        assert probed.u is not None and streamed.u is None
+        assert np.max(np.abs(streamed.step(v) - probed.step(v))) < 1e-13
+        unsolved = np.setdiff1d(np.arange(h.dimension), np.concatenate(blocks))
+        assert unsolved.size and not np.any(streamed.step(v)[unsolved])
 
     def test_register_probes_its_occupied_block(self, tmp_path, monkeypatch):
         # analog W at N = 10: psi0 = |g...g, 1> occupies one block of N + 1
