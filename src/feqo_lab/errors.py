@@ -26,4 +26,4 @@ class TruncationError(FeqoLabError):
 
 
 class PropagationError(FeqoLabError):
-    """Time propagation aborted (norm drift, dimension cap, step too large)."""
+    """Time propagation aborted (norm drift, eigen route over budget, no convergence)."""

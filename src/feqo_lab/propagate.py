@@ -3,32 +3,30 @@
 Both routes solve only the blocks of H in which the initial state has
 weight: H never joins two blocks, so every other block stays exactly zero.
 EIGEN_ORACLE diagonalizes each of those blocks once and applies exact phase
-factors.  FIXED_STEP advances the state in equal intervals by one step
-operator U = exp(-i H dt / hbar) from a Chebyshev expansion, with no
-eigendecomposition: each solved block of H is shifted by the centre D of its
-Gershgorin interval, exp(-i D dt / hbar) is a per-block phase, and
-exp(-i (H - D) dt / hbar) is expanded to machine precision, so the degree
-follows the widest solved block, not the spread of the block energies.  The
-expansion runs on H restricted to the solved states.  When the run has at
-least as many intervals as the largest solved block has states, it runs
-once, on that many probe columns: column j holds 1 on the j-th state of
-every solved block, so the blocks of U come out side by side, and U is kept
-as one sparse matrix of sum(b^2) entries, so a step is one sparse matvec.
-Otherwise, or when the probe would exceed MAX_PROBE_AMPLITUDES, the
-expansion runs on the state in every interval.  A step or a run whose
-Chebyshev cost exceeds MAX_TERMS or MAX_MATVECS is refused before it starts.
-The two routes are algorithmically independent and are cross-checked in the
-tests.
+factors.  FIXED_STEP applies U = exp(-i H dt / hbar) once per interval with
+no eigendecomposition (_ChebyshevStepper): a phase per block times a
+Chebyshev expansion in n terms (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967
+(1984)) of A, H restricted to the solved states, either probed once, which
+yields U's blocks side by side as one sparse matrix, or streamed, run on the
+state in every interval.  The two routes are cross-checked in the tests.
 
-Both routes sample one grid.  A propagation of length T with sample gap D is
-split into K = ceil(T / D) equal intervals (K = 0 when T = 0); the samples
-sit at T k / K for k = 0 .. K, and the last sample is the final state.  The
-samples are reduced to their metrics in chunks of at most CHUNK_AMPLITUDES
-amplitudes, one array pass per chunk.
+_plan prices a propagation once, before anything is allocated, in stored
+entries touched and peak bytes, with b the solved block sizes, w the
+largest, K the intervals, e = nnz(A) + sum(b) and c = STEP_WORK:
+    EIGEN_ORACLE  work sum(b^3)                  bytes 64 sum(b^2)
+    probed        work n w e + K (sum(b^2) + c)  bytes 64 sum(b) w + 32 n
+    streamed      work K (n e + c)               bytes 64 sum(b) + 32 n
+FIXED_STEP probes when that is less work and fits MAX_BYTES.  A plan over
+MAX_INTERVALS, MAX_WORK or MAX_BYTES is refused with its numbers and the
+--set changes under which it fits.
+
+The samples sit on the grid of `propagate` and are reduced to their metrics
+in chunks of at most CHUNK_AMPLITUDES amplitudes, one array pass per chunk.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -41,16 +39,15 @@ from .hilbert import (StateVector, electron_populations, schmidt_entropy,
                       sideband_leakage)
 from .physpar import _HBAR
 
-__all__ = ["EIGEN_DIM_CAP", "EIGEN_ORACLE", "FIXED_STEP", "PropagatorConfig",
-           "Trajectory", "propagate", "propagate_eigen"]
+__all__ = ["EIGEN_ORACLE", "FIXED_STEP", "PropagatorConfig", "Trajectory",
+           "propagate", "propagate_eigen"]
 
 EIGEN_ORACLE = "eigen"
 FIXED_STEP = "fixed_step"
-EIGEN_DIM_CAP = 4000        # largest block EIGEN_ORACLE solves
 MAX_INTERVALS = 10 ** 6     # sample intervals one propagation may hold
-MAX_TERMS = 10 ** 5         # Chebyshev terms one FIXED_STEP interval may take
-MAX_MATVECS = 10 ** 7       # steps x terms of one FIXED_STEP propagation
-MAX_PROBE_AMPLITUDES = 2 ** 23  # solved states x largest solved block
+MAX_WORK = 5 * 10 ** 8      # stored entries one propagation may touch
+MAX_BYTES = 2 ** 30         # bytes one propagation may hold at its peak
+STEP_WORK = 10 ** 4         # one interval's Python and scipy calls, in entries
 CHUNK_AMPLITUDES = 2 ** 18  # amplitudes (4 MiB) reduced to metrics at once
 
 
@@ -117,22 +114,140 @@ def _occupied_blocks(H: HermitianOperator, psi0: StateVector
                      ) -> list[np.ndarray]:
     """The blocks of H where psi0 has weight: H never joins two blocks, so
     every other block stays exactly zero."""
-    support = psi0.amplitudes != 0
+    blocks = H.blocks()
+    sizes = np.fromiter(map(len, blocks), np.intp, len(blocks))
+    hit = np.logical_or.reduceat(psi0.amplitudes[np.concatenate(blocks)] != 0,
+                                 np.cumsum(sizes) - sizes)
     # a zero state stays zero under any one block
-    return [idx for idx in H.blocks() if support[idx].any()] or H.blocks()[:1]
+    return [blocks[k] for k in np.flatnonzero(hit)] or blocks[:1]
+
+
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """How one propagation runs, and its predicted cost."""
+
+    route: str
+    probe: bool                 # FIXED_STEP probes once instead of streaming
+    intervals: int              # math.inf above MAX_INTERVALS
+    blocks: list                # the occupied blocks of H, all solved
+    work: float                 # stored entries touched
+    bytes: float                # peak bytes held
+    dt: float = 0.0
+    centres: np.ndarray | None = None   # each solved state's block centre
+    radius: float = 0.0         # half the widest solved block's interval
+    terms: int = 0              # Chebyshev coefficients a step
+
+
+def _plan(H: HermitianOperator, psi0: StateVector, total_time_fs: float,
+          cfg: PropagatorConfig) -> _Plan:
+    """The plan of one propagation: the one place a cost meets a budget."""
+    if H.basis != psi0.basis:
+        raise BasisError("operator and state live on different bases")
+    if not (np.isfinite(H.diag).all() and np.isfinite(H.upper.data).all()):
+        raise DomainError("H has a non-finite entry: an input lies outside "
+                          "the range the model can represent")
+    if not math.isfinite(float(np.abs(H.diag).max(initial=0.0))
+                         * total_time_fs / _HBAR):
+        raise DomainError(f"the phase span max|diag H| T / hbar of a "
+                          f"{total_time_fs:.6g} fs run is not finite")
+    blocks = _occupied_blocks(H, psi0)
+    sizes = np.array([idx.size for idx in blocks])
+    states, width = int(sizes.sum()), int(sizes.max())
+    squares, cubes = (float(np.sum(sizes.astype(float) ** p)) for p in (2, 3))
+
+    @functools.cache
+    def chebyshev():
+        """(block centre of each solved state, radius, e)"""
+        order = np.concatenate(blocks)
+        label = np.full(H.dimension, -1)   # block of each state, -1 unsolved
+        label[order] = np.repeat(np.arange(len(blocks)), sizes)
+        upper = H.upper.tocoo()
+        ends = [label[i[upper.data != 0]] for i in (upper.row, upper.col)]
+        if np.any(ends[0] != ends[1]):
+            raise PropagationError(
+                "a coupling of H joins two blocks, so the block centres do "
+                "not commute with H: H.blocks() does not follow H's couplings")
+        starts = np.cumsum(sizes) - sizes
+        radii = H.gershgorin_radii()[order]
+        lo = np.minimum.reduceat(H.diag[order] - radii, starts)
+        hi = np.maximum.reduceat(H.diag[order] + radii, starts)
+        # small pad keeps the map inside [-1, 1]
+        return (np.repeat(0.5 * (hi + lo), sizes),
+                float(0.5 * np.max(hi - lo) * 1.01 + 1e-12),
+                2 * states + 2 * int(np.count_nonzero(ends[0] >= 0)))
+
+    def price(method, t, gap) -> _Plan:
+        """The plan of t fs sampled every gap fs (t / 200 if None)."""
+        ratio = (t / gap if gap else 200.0) if t else 0.0
+        if not ratio <= MAX_INTERVALS:
+            return _Plan(method, False, math.inf, blocks, math.inf, math.inf)
+        # forgiving a relative rounding error of 1e-12 in t / gap
+        k = max(math.ceil(ratio * (1.0 - 1e-12)), 1) if t else 0
+        if method == EIGEN_ORACLE:
+            return _Plan(method, False, k, blocks, cubes, 64.0 * squares)
+        if not k:
+            return _Plan(method, False, 0, blocks, 0.0, 0.0)
+        centres, radius, e = chebyshev()
+        z = radius * (t / k) / _HBAR
+        n = z + 15.0 * (z + 16.0) ** (1.0 / 3.0) + 24.0
+        n = math.ceil(n) + 1 if n < 2.0 ** 60 else math.inf
+        probed, streamed = n * width * e + k * squares, k * n * e
+        probe = probed < streamed and 64 * states * width + 32 * n <= MAX_BYTES
+        return _Plan(method, probe, k, blocks,
+                     (probed if probe else streamed) + k * STEP_WORK,
+                     64 * states * (width if probe else 1) + 32 * n,
+                     t / k, centres, radius, n)
+
+    def fits(plan: _Plan) -> bool:
+        return (plan.intervals <= MAX_INTERVALS and plan.work <= MAX_WORK
+                and plan.bytes <= MAX_BYTES)
+
+    T, gap = total_time_fs, cfg.sample_every_fs
+    plan = price(cfg.method, T, gap)
+    if fits(plan):
+        return plan
+    error, sets = DomainError, []
+    if plan.intervals > MAX_INTERVALS:
+        what = (f"sampling {T:.6g} fs every {gap or T / 200:.6g} fs takes "
+                f"more than {MAX_INTERVALS} intervals; raise sample_every_fs")
+        gap = float(f"{T / MAX_INTERVALS * (1 + 1e-5):.6g}")
+        sets.append(f"propagator.sample_every_fs={gap}")
+    elif plan.route == EIGEN_ORACLE:
+        error, what = PropagationError, (
+            f"the eigen route on {states} states in blocks of up to {width} "
+            f"states needs")
+    else:
+        what = (f"{plan.intervals} Chebyshev steps of {plan.dt:.4g} fs "
+                f"(propagator.sample_every_fs), about {plan.terms:.3g} terms "
+                f"each, {'probed' if plan.probe else 'streamed'} on {states} "
+                f"states, need")
+    if not sets:
+        what += (f" about {plan.work:.3g} stored entries touched and "
+                 f"{plan.bytes:.3g} bytes, above MAX_WORK = {MAX_WORK:.3g} or "
+                 f"MAX_BYTES = {MAX_BYTES:.3g}")
+    # the --set changes under which it fits: a wider sample gap, then the
+    # Chebyshev route, then a shorter run; or, from FIXED_STEP, the eigen route
+    eigen_fits = fits(price(EIGEN_ORACLE, T, gap))
+    eigen_sets = sets + [f"propagator.method={EIGEN_ORACLE}"]
+    if cfg.method == EIGEN_ORACLE and not eigen_fits:
+        what += "; use FIXED_STEP"
+        sets.append(f"propagator.method={FIXED_STEP}")
+    if (cfg.method == FIXED_STEP or not eigen_fits) \
+            and not fits(price(FIXED_STEP, T, gap)):
+        lo, hi = 0.0, T   # bisection over durations of 4 significant digits
+        while lo < (mid := float(f"{0.5 * (lo + hi):.4g}")) < hi:
+            lo, hi = (mid, hi) if fits(price(FIXED_STEP, mid, gap)) \
+                else (lo, mid)
+        sets.append(f"run.total_time_fs={lo}")
+    raise error(f"{what}; it fits with --set {' --set '.join(sets)}" + (
+        f", or on the eigen route with --set {' --set '.join(eigen_sets)}"
+        if eigen_fits and cfg.method == FIXED_STEP else ""))
 
 
 def _eigen_route(H: HermitianOperator, psi0: StateVector):
     """times -> (len(times), dim) amplitudes of V exp(-i L t / hbar) V^dag psi0,
-    solving only the occupied blocks of H."""
-    occupied = _occupied_blocks(H, psi0)
-    largest = max(idx.size for idx in occupied)
-    if largest > EIGEN_DIM_CAP:
-        raise PropagationError(
-            f"largest block of H that the state occupies has {largest} "
-            f"states, above the eigen-oracle cap {EIGEN_DIM_CAP}; use "
-            f"FIXED_STEP")
-    w, v = H.eigensystem(occupied)
+    solving the occupied blocks of H, which the plan has priced."""
+    w, v = H.eigensystem(_occupied_blocks(H, psi0))
     coeff = v.conj().T @ psi0.amplitudes
     return lambda times: np.ascontiguousarray((v @ (
         np.exp(-1j * np.outer(w, times) / _HBAR) * coeff[:, None])).T)
@@ -141,64 +256,26 @@ def _eigen_route(H: HermitianOperator, psi0: StateVector):
 def propagate_eigen(H: HermitianOperator, psi0: StateVector, t_fs: float
                     ) -> StateVector:
     """Exact evolution psi(t) = V exp(-i L t / hbar) V^dag psi0."""
-    if H.basis != psi0.basis:
-        raise BasisError("operator and state live on different bases")
+    _plan(H, psi0, abs(t_fs), PropagatorConfig(sample_every_fs=abs(t_fs)
+                                               or None))
     return StateVector(psi0.basis, _eigen_route(H, psi0)([t_fs])[0])
 
 
 class _ChebyshevStepper:
-    """exp(-i H dt / hbar) on the solved blocks of H (every block by
-    default), zero on every other state.
-
-    The step is exp(-i D dt / hbar) p(A): D holds, for each solved state, the
-    midpoint of its block's Gershgorin interval, and p is the Chebyshev
-    expansion of exp(-i (H - D) dt / hbar) in A = (H - D) / radius, radius
-    being half the widest solved block's interval.  A is H restricted to the
-    solved states.  That restriction and the per-block phase are exact only
-    when every coupling of H stays inside one solved block or among unsolved
-    states; that is checked on H's couplings, not taken from the blocks
-    given.  When the probe of the module docstring pays (no wider than
-    `steps`) and fits in MAX_PROBE_AMPLITUDES, p(A) is applied to it once
-    and the step is the sparse matrix u; otherwise u is None and each step
-    runs the expansion on the state, in memory linear in the solved states.
+    """exp(-i H dt / hbar) = exp(-i D dt / hbar) p(A) on the plan's solved
+    blocks, zero on every other state: D holds the plan's centre of each
+    solved state's block, and p is the Chebyshev expansion of
+    exp(-i (H - D) dt / hbar) in A = (H - D) / radius on the solved states.
+    Probed, p(A) runs once on the probe and a step is the sparse matrix u;
+    streamed, u is None and each step runs p(A) on the state.
     """
 
-    def __init__(self, H: HermitianOperator, dt_fs: float, steps: int,
-                 blocks: list[np.ndarray] | None = None):
-        blocks = H.blocks() if blocks is None else blocks
-        self.order = order = np.concatenate(blocks)
-        sizes = np.array([idx.size for idx in blocks])
-        starts = np.cumsum(sizes) - sizes
-        label = np.full(H.dimension, -1)   # block of each state, -1 unsolved
-        label[order] = np.repeat(np.arange(len(blocks)), sizes)
-        upper = H.upper.tocoo()
-        joined = upper.data != 0
-        if np.any(label[upper.row[joined]] != label[upper.col[joined]]):
-            raise PropagationError(
-                "a coupling of H joins two different blocks, so the block "
-                "centres do not commute with H: H.blocks() does not follow "
-                "H's couplings")
-        radii = H.gershgorin_radii()[order]
-        lo = np.minimum.reduceat(H.diag[order] - radii, starts)
-        hi = np.maximum.reduceat(H.diag[order] + radii, starts)
-        self.centres = d = np.repeat(0.5 * (hi + lo), sizes)   # along order
-        # small pad keeps the map inside [-1, 1]
-        self.radius = 0.5 * np.max(hi - lo) * 1.01 + 1e-12
-        self.dt = dt_fs
-        self.z = self.radius * dt_fs / _HBAR
-        terms = self.z + 15.0 * (self.z + 16.0) ** (1.0 / 3.0) + 24.0
-        if not terms <= MAX_TERMS:
-            raise DomainError(
-                f"a Chebyshev step of {dt_fs:.6g} fs needs about {terms:.3g} "
-                f"terms, more than {MAX_TERMS}; lower "
-                f"propagator.sample_every_fs or use the eigen route")
-        if not steps * terms <= MAX_MATVECS:
-            raise DomainError(
-                f"{steps} steps x about {terms:.0f} Chebyshev terms is more "
-                f"than {MAX_MATVECS} matvecs; shorten run.total_time_fs or "
-                f"use the eigen route")
-        ks = np.arange(math.ceil(terms) + 1)
-        bessel = special.jv(ks, self.z)
+    def __init__(self, H: HermitianOperator, plan: _Plan):
+        self.order = order = np.concatenate(plan.blocks)
+        sizes = np.array([idx.size for idx in plan.blocks])
+        d, radius, self.dt = plan.centres, plan.radius, plan.dt
+        ks = np.arange(plan.terms)
+        bessel = special.jv(ks, radius * self.dt / _HBAR)
         if not np.all(np.isfinite(bessel)) or abs(bessel[-1]) > 1e-13:
             raise PropagationError(
                 "Chebyshev expansion did not converge: step too large")
@@ -209,20 +286,18 @@ class _ChebyshevStepper:
         self.coeff = self.coeff[:keep]
         # 2A, exactly: each term of the recurrence is one matvec and one axpy
         self._twice_a = HermitianOperator(
-            None, 2.0 * (H.diag[order] - d) / self.radius,
+            None, 2.0 * (H.diag[order] - d) / radius,
             2.0 * sparse.triu(H.to_csr()[order][:, order], k=1, format="csr")
-            / self.radius)
-        self.phase = np.exp(-1j * d * dt_fs / _HBAR)
+            / radius)
+        self.phase = np.exp(-1j * d * self.dt / _HBAR)
         self.dimension = H.dimension
-
-        width = int(sizes.max())
         self.u = None
-        # the probe costs `width` expansions, streaming one per step
-        if width > steps or order.size * width > MAX_PROBE_AMPLITUDES:
+        if not plan.probe:
             return
         # position in `order` of each solved state's block start, and the
         # state's column in its block
-        first = np.repeat(starts, sizes)
+        width = int(sizes.max())
+        first = np.repeat(np.cumsum(sizes) - sizes, sizes)
         col = np.arange(order.size) - first
         probe = np.zeros((order.size, width), dtype=np.complex128)
         probe[np.arange(order.size), col] = 1.0
@@ -259,19 +334,6 @@ class _ChebyshevStepper:
         return out
 
 
-def _interval_count(total_time_fs: float, sample_every_fs: float) -> int:
-    """K = ceil(T / D), forgiving a relative rounding error of 1e-12 in T / D;
-    refused above MAX_INTERVALS before anything is allocated."""
-    if total_time_fs == 0:
-        return 0
-    ratio = total_time_fs / sample_every_fs
-    if not ratio <= MAX_INTERVALS:
-        raise DomainError(
-            f"sampling {total_time_fs:.6g} fs every {sample_every_fs:.6g} fs "
-            f"takes more than {MAX_INTERVALS} intervals; raise sample_every_fs")
-    return max(math.ceil(ratio * (1.0 - 1e-12)), 1)
-
-
 def propagate(H: HermitianOperator, psi0: StateVector, total_time_fs: float,
               config: PropagatorConfig | None = None) -> Trajectory:
     """Evolve psi0 for total_time_fs, sampling populations, <n>, entropy, norm.
@@ -287,26 +349,22 @@ def propagate(H: HermitianOperator, psi0: StateVector, total_time_fs: float,
         raise DomainError("total_time must be >= 0")
     cfg = config or PropagatorConfig()
     basis = psi0.basis
-    if H.basis != basis:
-        raise BasisError("operator and state live on different bases")
-    intervals = _interval_count(
-        total_time_fs, cfg.sample_every_fs or total_time_fs / 200.0)
+    plan = _plan(H, psi0, total_time_fs, cfg)
 
-    times = np.linspace(0.0, total_time_fs, intervals + 1)
+    times = np.linspace(0.0, total_time_fs, plan.intervals + 1)
     pops = np.empty((times.size, basis.num_electrons, basis.sideband_count))
     ph_mean, entropy, norms = (np.empty(times.size) for _ in range(3))
     psi0.require_normalized(max(cfg.norm_tol, 1e-9))
 
-    if cfg.method == EIGEN_ORACLE:
+    if plan.route == EIGEN_ORACLE:
         evolve = _eigen_route(H, psi0)
-    elif intervals:
-        step = _ChebyshevStepper(H, total_time_fs / intervals, intervals,
-                                 _occupied_blocks(H, psi0)).step
+    elif plan.intervals:
+        step = _ChebyshevStepper(H, plan).step
     amps = psi0.amplitudes
     chunk = max(CHUNK_AMPLITUDES // basis.dimension, 1)
     for a in range(0, times.size, chunk):
         b = min(a + chunk, times.size)
-        if cfg.method == EIGEN_ORACLE:
+        if plan.route == EIGEN_ORACLE:
             batch = evolve(times[a:b])
         else:
             batch = np.empty((b - a, basis.dimension), dtype=np.complex128)

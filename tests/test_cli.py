@@ -589,6 +589,19 @@ class TestCliEntry:
         assert time.perf_counter() - start < 30.0
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("key,value", [
+        ("electron.beta", "1e-300"),    # H holds an infinite energy
+        ("drive.alpha_re", "1e-305"),   # H is finite; T = 4.3e307 fs is not
+    ])
+    def test_non_finite_propagation_refused_exit_code(self, tmp_path, key,
+                                                       value):
+        result = CliRunner().invoke(cli, [
+            "run", "fig2a", "--out", str(tmp_path), "--set", f"{key}={value}"])
+        assert result.exit_code == 2, result.output
+        assert "not finite" in result.output or "non-finite" in result.output
+        assert "step too large" not in result.output
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("name,key,value", [
         ("fig2a", "box_edge_nm", "1e300"),          # box volume overflows
         ("fig2b", "E_z_tilde_V_per_m", "1e300"),    # E_z ** 2 overflows

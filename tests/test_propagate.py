@@ -1,10 +1,13 @@
 import dataclasses
-import importlib
+import importlib.util
 import math
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 from scipy import sparse
 from scipy.linalg import expm
 
@@ -14,7 +17,7 @@ from feqo_lab import (CODATA2018, DomainError, PropagationError,
                       coherent_state, default_window, excitation_observable,
                       make_basis, propagate, propagate_eigen, qubit_window,
                       tensor_product)
-from feqo_lab.cli import run_wstate
+from feqo_lab.cli import experiments, run_experiment, run_wstate
 from feqo_lab.hamiltonian import HermitianOperator
 from feqo_lab.hilbert import StateVector, electron_populations
 from feqo_lab.propagate import EIGEN_ORACLE, FIXED_STEP, _ChebyshevStepper
@@ -24,6 +27,22 @@ from test_acceptance import _acceptance_scenarios
 
 HBAR = CODATA2018.hbar_eV_fs
 PROPAGATE = importlib.import_module("feqo_lab.propagate")
+
+
+def plan_for(h, dt, steps=1, blocks=None):
+    """The FIXED_STEP plan of `steps` intervals of dt on the given blocks of
+    h (every block by default)."""
+    psi0 = StateVector(h.basis, np.full(h.dimension, h.dimension ** -0.5,
+                                        dtype=complex))
+    with pytest.MonkeyPatch.context() as mp:
+        if blocks is not None:
+            mp.setattr(PROPAGATE, "_occupied_blocks", lambda H, psi: blocks)
+        return PROPAGATE._plan(h, psi0, dt * steps, PropagatorConfig(
+            method=FIXED_STEP, sample_every_fs=dt))
+
+
+def stepper(h, dt, steps=1, blocks=None):
+    return _ChebyshevStepper(h, plan_for(h, dt, steps, blocks))
 
 
 def random_hermitian(rng, basis, scale=1.0):
@@ -293,21 +312,28 @@ class TestSamplingContract:
                 propagate(h, psi0, 10.0, PropagatorConfig(sample_every_fs=gap))
 
     def test_chebyshev_cost_bounds(self, vacuum_block, monkeypatch):
-        # 4 intervals of 2.5 fs: about 62 terms a step, about 248 matvecs
+        # 4 intervals of 2.5 fs, 64 coefficients a step: probed on 2 columns,
+        # 40784 entries touched and 2304 bytes; streamed, 41536 and 2176
         basis, h = vacuum_block
         psi0 = basis_ket(basis, (0.5,), 0)
         cfg = PropagatorConfig(method=FIXED_STEP, sample_every_fs=2.5)
-        monkeypatch.setattr(PROPAGATE, "MAX_TERMS", 63)
-        monkeypatch.setattr(PROPAGATE, "MAX_MATVECS", 250)
+        monkeypatch.setattr(PROPAGATE, "MAX_WORK", 40784)
+        monkeypatch.setattr(PROPAGATE, "MAX_BYTES", 2304)
         assert len(propagate(h, psi0, 10.0, cfg).times_fs) == 5
-        monkeypatch.setattr(PROPAGATE, "MAX_TERMS", 61)
-        with pytest.raises(DomainError, match=r"more than 61; lower "
-                           r"propagator\.sample_every_fs or use the eigen"):
+        monkeypatch.setattr(PROPAGATE, "MAX_WORK", 40783)
+        with pytest.raises(DomainError, match=r"probed on 2 states, need "
+                           r"about 4\.08e\+04 stored entries touched .*; it "
+                           r"fits with --set run\.total_time_fs=.*, or on "
+                           r"the eigen route"):
             propagate(h, psi0, 10.0, cfg)
-        monkeypatch.setattr(PROPAGATE, "MAX_TERMS", 63)
-        monkeypatch.setattr(PROPAGATE, "MAX_MATVECS", 245)
-        with pytest.raises(DomainError, match=r"more than 245 matvecs; "
-                           r"shorten run\.total_time_fs or use the eigen"):
+        monkeypatch.setattr(PROPAGATE, "MAX_WORK", 41536)
+        monkeypatch.setattr(PROPAGATE, "MAX_BYTES", 2176)
+        assert len(propagate(h, psi0, 10.0, cfg).times_fs) == 5
+        monkeypatch.setattr(PROPAGATE, "MAX_BYTES", 2175)
+        with pytest.raises(DomainError, match=r"streamed on 2 states, need "
+                           r".* and 2\.18e\+03 bytes, above .*; it fits "
+                           r"with --set run\.total_time_fs=.*, or on the "
+                           r"eigen route"):
             propagate(h, psi0, 10.0, cfg)
 
     def test_unaffordable_step_refused_before_allocating(self, vacuum_block,
@@ -319,18 +345,19 @@ class TestSamplingContract:
                       PropagatorConfig(method=FIXED_STEP))
 
     def test_probe_or_stream(self, vacuum_block, monkeypatch):
-        # the occupied block {|e,0>, |g,1>}: 2 probe columns on 2 states
+        # the occupied block {|e,0>, |g,1>}: 2 probe columns on 2 states, in
+        # 2304 bytes; 4 intervals pay for the probe, 1 does not
         basis, h = vacuum_block
         block = [np.sort([basis.encode((0.5,), 0), basis.encode((-0.5,), 1)])]
         assert any(np.array_equal(block[0], idx) for idx in h.blocks())
-        monkeypatch.setattr(PROPAGATE, "MAX_PROBE_AMPLITUDES", 4)
-        assert _ChebyshevStepper(h, 2.5, 2, block).u is not None
-        assert _ChebyshevStepper(h, 2.5, 1, block).u is None   # 1 interval
+        monkeypatch.setattr(PROPAGATE, "MAX_BYTES", 2304)
+        assert stepper(h, 2.5, 4, block).u is not None
+        assert stepper(h, 2.5, 1, block).u is None   # 1 interval
         probed = propagate(h, basis_ket(basis, (0.5,), 0), 10.0,
                            PropagatorConfig(method=FIXED_STEP,
                                             sample_every_fs=2.5))
-        monkeypatch.setattr(PROPAGATE, "MAX_PROBE_AMPLITUDES", 3)
-        assert _ChebyshevStepper(h, 2.5, 2, block).u is None
+        monkeypatch.setattr(PROPAGATE, "MAX_BYTES", 2303)
+        assert stepper(h, 2.5, 4, block).u is None
         streamed = propagate(h, basis_ket(basis, (0.5,), 0), 10.0,
                              PropagatorConfig(method=FIXED_STEP,
                                               sample_every_fs=2.5))
@@ -341,18 +368,19 @@ class TestSamplingContract:
 
     def test_block_above_both_caps_streams_without_allocating(
             self, strong_params, rng, monkeypatch):
-        # 6696 states in blocks of at most 216: a probe array would take
-        # 6696 * 216 * 16 B = 23 MB, and the run has more intervals than 216
+        # 6696 states in blocks of at most 216: the eigen route would hold
+        # 8.3e7 bytes and the four probe arrays 4 * 6696 * 216 * 16 B = 9.3e7,
+        # both above 2**24; streaming 220 intervals touches 6.4e8 entries
         basis = make_basis(3, default_window(6), 30)
         h = build_pinem(strong_params, basis)
         psi0 = StateVector(basis, random_state(rng, basis.dimension))
         exact = propagate_eigen(h, psi0, 0.5).amplitudes
         h.to_csr()   # cached before the measured call
-        monkeypatch.setattr(PROPAGATE, "EIGEN_DIM_CAP", 215)
-        with pytest.raises(PropagationError, match="use FIXED_STEP"):
+        monkeypatch.setattr(PROPAGATE, "MAX_BYTES", 2 ** 24)
+        with pytest.raises(PropagationError, match="use FIXED_STEP; it fits "
+                           "with --set propagator.method=fixed_step$"):
             propagate_eigen(h, psi0, 0.5)
-        monkeypatch.setattr(PROPAGATE, "MAX_PROBE_AMPLITUDES",
-                            basis.dimension * 216 - 1)
+        monkeypatch.setattr(PROPAGATE, "MAX_WORK", 10 ** 9)
         tracemalloc.start()
         try:
             traj = propagate(h, psi0, 0.5, PropagatorConfig(
@@ -375,7 +403,7 @@ class TestDimensionCap:
     @staticmethod
     def set_cap(monkeypatch, cap):
         monkeypatch.setattr(importlib.import_module("feqo_lab.propagate"),
-                            "EIGEN_DIM_CAP", cap)
+                            "MAX_WORK", cap)
 
     def test_eigen_cap_directs_to_fixed_step(self, rng, monkeypatch):
         basis = make_basis(1, qubit_window(), 7)
@@ -388,19 +416,22 @@ class TestDimensionCap:
             propagate_eigen(h, psi0, 1.0)
 
     def test_cap_bounds_the_largest_block(self, rng, monkeypatch):
-        # a 16-state JC ladder has blocks of at most 2 states
+        # a 16-state JC ladder has blocks of at most 2 states: 7 pairs and
+        # 2 singletons, sum(b^3) = 58
         basis = make_basis(1, qubit_window(), 7)
         h = build_jc_interaction(0.05, basis)
         psi0 = StateVector(basis, random_state(rng, basis.dimension))
-        self.set_cap(monkeypatch, 2)
+        self.set_cap(monkeypatch, 58)
         propagate_eigen(h, psi0, 1.0)
-        self.set_cap(monkeypatch, 1)
-        with pytest.raises(PropagationError, match=r"\b2 states.*cap 1\b"):
+        self.set_cap(monkeypatch, 57)
+        with pytest.raises(PropagationError,
+                           match=r"\b2 states needs about 58 .*"
+                                 r"MAX_WORK = 57\b"):
             propagate(h, psi0, 1.0)
 
     def test_three_electron_pinem_runs_on_the_eigen_route(self, strong_params,
                                                           rng, monkeypatch):
-        # 6696 states, above the default cap, in blocks of at most 216
+        # 6696 states in blocks of at most 216: sum(b^3) = 2.6e8
         basis = make_basis(3, default_window(6), 30)
         h = build_pinem(strong_params, basis)
         assert basis.dimension == 6696
@@ -412,7 +443,7 @@ class TestDimensionCap:
         assert np.max(np.abs(eigen.final_state.amplitudes
                              - fixed.final_state.amplitudes)) < 1e-9
         assert np.max(np.abs(eigen.populations - fixed.populations)) < 1e-10
-        self.set_cap(monkeypatch, 215)
+        self.set_cap(monkeypatch, sum(idx.size ** 3 for idx in h.blocks()) - 1)
         with pytest.raises(PropagationError, match=r"\b216 states"):
             propagate(h, psi0, 2.0)
 
@@ -504,6 +535,16 @@ class TestBlockRoute:
         assert np.max(np.abs(traj.populations - fixed.populations)) < 1e-10
         assert np.max(np.abs(traj.entropy_nats - fixed.entropy_nats)) < 1e-9
 
+    def test_occupied_blocks_match_the_loop(self, strong_params,
+                                            fig2b_params, rng):
+        for case, h in _block_cases(strong_params, fig2b_params).items():
+            for share in (0.0, 0.05, 0.3, 1.0):
+                amps = (rng.random(h.dimension) < share).astype(complex)
+                loop = [idx for idx in h.blocks() if amps[idx].any()] \
+                    or h.blocks()[:1]   # a zero state keeps one block
+                got = PROPAGATE._occupied_blocks(h, StateVector(h.basis, amps))
+                assert [id(idx) for idx in got] == [id(idx) for idx in loop]
+
     def test_dense_random_hermitian_is_one_block(self, rng):
         basis = make_basis(2, qubit_window(), 3)
         h = random_hermitian(rng, basis, scale=2.0)
@@ -519,7 +560,7 @@ class TestBlockShift:
 
     @staticmethod
     def kept_terms(h, dt):
-        return len(_ChebyshevStepper(h, dt, 1).coeff)
+        return len(stepper(h, dt).coeff)
 
     def test_block_energy_offset_costs_no_terms(self, fig2a_params, rng):
         # two decoupled copies of a JC operator, the second 1000 eV higher
@@ -541,9 +582,9 @@ class TestBlockShift:
         basis = make_basis(2, qubit_window(), 3)
         h = random_hermitian(rng, basis, scale=2.0)
         lo, hi = h.gershgorin_interval()
-        stepper = _ChebyshevStepper(h, 0.5, 1)
-        assert np.all(stepper.centres == 0.5 * (hi + lo))
-        assert stepper.radius == 0.5 * (hi - lo) * 1.01 + 1e-12
+        plan = plan_for(h, 0.5)
+        assert np.all(plan.centres == 0.5 * (hi + lo))
+        assert plan.radius == 0.5 * (hi - lo) * 1.01 + 1e-12
 
     def test_wrong_blocks_fail_closed(self, rng, monkeypatch):
         basis = make_basis(2, qubit_window(), 3)
@@ -561,7 +602,7 @@ class TestBlockShift:
         assert not np.any(h.diag)
         singletons = [np.array([k]) for k in range(basis.dimension)]
         with pytest.raises(PropagationError, match="block centres"):
-            _ChebyshevStepper(h, 0.5, 1, singletons)
+            plan_for(h, 0.5, 1, singletons)
         monkeypatch.setattr(h, "blocks", lambda: singletons)
         with pytest.raises(PropagationError, match="block centres"):
             propagate(h, basis_ket(basis, (0.5,), 0), 5.0,
@@ -571,7 +612,7 @@ class TestBlockShift:
         basis, h = vacuum_block
         excited = np.array([basis.encode((0.5,), 0)])   # its partner |g,1>
         with pytest.raises(PropagationError, match="block centres"):
-            _ChebyshevStepper(h, 0.5, 1, [excited])
+            plan_for(h, 0.5, 1, [excited])
 
     # kept terms of one step at criterion 10's dt = T / 50; a whole-H
     # interval kept 851, 38, 4299, 3338, 6224, 605 and 201
@@ -590,10 +631,10 @@ class TestStepOperator:
 
     @staticmethod
     def check(h, dt, blocks=None):
-        # as many steps as the widest block has states, so the probe pays
+        # twice as many steps as the widest block has states: the probe pays
         width = max(idx.size for idx in blocks or h.blocks())
-        stepper = _ChebyshevStepper(h, dt, width, blocks)
-        u, dense = stepper.u.toarray(), h.to_dense()
+        step = stepper(h, dt, 2 * width, blocks)
+        u, dense = step.u.toarray(), h.to_dense()
         outside = np.ones(u.shape, dtype=bool)
         for idx in h.blocks() if blocks is None else blocks:
             cut = np.ix_(idx, idx)
@@ -604,7 +645,7 @@ class TestStepOperator:
                 < 1e-13
             outside[cut] = False
         assert not np.any(u[outside])
-        assert stepper.u.nnz <= sum(idx.size ** 2 for idx in h.blocks())
+        assert step.u.nnz <= sum(idx.size ** 2 for idx in h.blocks())
 
     @pytest.mark.parametrize("case", ["pinem", "pinem_exact_kn", "jc", "tc",
                                       "tc_active", "jc_interaction",
@@ -630,9 +671,10 @@ class TestStepOperator:
         h = _block_cases(strong_params, fig2b_params)[case]
         blocks = h.blocks()[::2]
         v = random_state(rng, h.dimension)
-        probed = _ChebyshevStepper(h, 0.7, h.dimension, blocks)
-        monkeypatch.setattr(PROPAGATE, "MAX_PROBE_AMPLITUDES", 0)
-        streamed = _ChebyshevStepper(h, 0.7, h.dimension, blocks)
+        probed = stepper(h, 0.7, h.dimension, blocks)
+        monkeypatch.setattr(PROPAGATE, "MAX_BYTES", plan_for(
+            h, 0.7, h.dimension, blocks).bytes - 1)
+        streamed = stepper(h, 0.7, h.dimension, blocks)
         assert probed.u is not None and streamed.u is None
         assert np.max(np.abs(streamed.step(v) - probed.step(v))) < 1e-13
         unsolved = np.setdiff1d(np.arange(h.dimension), np.concatenate(blocks))
@@ -653,3 +695,113 @@ class TestStepOperator:
             "propagator.method": FIXED_STEP}, out_dir=tmp_path, fmt="json")
         assert shapes and {shape[1] for shape in shapes} == {11}
         assert abs(record.metrics["fidelity_w"] - 1.0) < 1e-12
+
+
+def _named_runs():
+    """RUNS of tools/compare_runs.py: the runs a refactor must not move."""
+    path = Path(__file__).parents[1] / "tools" / "compare_runs.py"
+    spec = importlib.util.spec_from_file_location("compare_runs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.RUNS
+
+
+class TestPlan:
+    """One cost plan per propagation, refused before anything is allocated
+    with the --set changes under which it fits."""
+
+    @pytest.fixture(scope="class")
+    def cases(self, strong_params, fig2b_params):
+        return {**_block_cases(strong_params, fig2b_params),
+                "dense": random_hermitian(np.random.default_rng(7), make_basis(
+                    2, qubit_window(), 3), scale=2.0)}
+
+    def test_long_run_is_priced_as_a_probe(self, tmp_path, monkeypatch):
+        # s1_bragg for 1e7 fs sampled every 20 fs: 500000 intervals of 1081
+        # coefficients, probed once on 6 columns, then 500000 sparse products
+        plan, args = PROPAGATE._plan, []
+        monkeypatch.setattr(PROPAGATE, "_plan",
+                            lambda *a: args.append(a) or plan(*a))
+        with pytest.raises(DomainError, match=(
+                r"500000 Chebyshev steps of 20 fs .*about 1\.08e\+03 terms "
+                r"each, probed on 219 states, need about 5\.64e\+09 stored "
+                r"entries touched and 1\.19e\+05 bytes, above MAX_WORK = "
+                r"5e\+08 .*; it fits with --set run\.total_time_fs=.*, or on "
+                r"the eigen route")):
+            run_experiment("s1_bragg", out_dir=tmp_path, sets=[
+                "propagator.method=fixed_step", "run.total_time_fs=1e7",
+                "propagator.sample_every_fs=20"])
+        assert not any(tmp_path.iterdir())
+        monkeypatch.setattr(PROPAGATE, "MAX_WORK", 5.65e9)
+        fitting = plan(*args[-1])
+        assert fitting.route == FIXED_STEP and fitting.probe
+        assert fitting.intervals == 500000 and fitting.terms == 1081
+        assert max(idx.size for idx in fitting.blocks) == 6
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(case=st.sampled_from(["jc", "jc_interaction", "tc", "pinem",
+                                 "dense"]),
+           method=st.sampled_from([EIGEN_ORACLE, FIXED_STEP]),
+           log_time=st.floats(-1.0, 9.0),
+           log_gap=st.none() | st.floats(-9.0, 0.0),
+           log_budgets=st.tuples(st.integers(0, 6), st.floats(2.0, 9.0),
+                                 st.floats(3.0, 6.0)))
+    def test_each_refusal_names_a_way_out_that_runs(
+            self, cases, case, method, log_time, log_gap, log_budgets):
+        h = cases[case]
+        psi0 = StateVector(h.basis, np.full(h.dimension, h.dimension ** -0.5,
+                                            dtype=complex))
+        total = 10.0 ** log_time
+        gap = None if log_gap is None else total * 10.0 ** log_gap
+        with pytest.MonkeyPatch.context() as mp:
+            for name, log in zip(("MAX_INTERVALS", "MAX_WORK", "MAX_BYTES"),
+                                 log_budgets):
+                mp.setattr(PROPAGATE, name, 10 ** log)
+            try:
+                PROPAGATE._plan(h, psi0, total, PropagatorConfig(
+                    method=method, sample_every_fs=gap))
+                return
+            except (DomainError, PropagationError) as exc:
+                refusal = exc
+            message = str(refusal)
+            event(f"{type(refusal).__name__}: " + ", ".join(sorted(re.findall(
+                r"--set ([\w.]+)=", message))))
+            assert isinstance(refusal, PropagationError) == (
+                method == EIGEN_ORACLE and "intervals" not in message)
+            ways = message.split("; it fits with ")[1].split(
+                ", or on the eigen route with ")
+            for way in ways:
+                sets = dict(re.findall(r"--set ([\w.]+)=([^\s,]+)", way))
+                assert sets and set(sets) <= {
+                    "propagator.method", "propagator.sample_every_fs",
+                    "run.total_time_fs"}
+                cfg = PropagatorConfig(
+                    method=sets.get("propagator.method", method),
+                    sample_every_fs=float(sets.get(
+                        "propagator.sample_every_fs", gap or 0)) or None)
+                plan = PROPAGATE._plan(h, psi0, float(sets.get(
+                    "run.total_time_fs", total)), cfg)
+                assert plan.route == cfg.method
+
+    def test_named_runs_keep_their_routes_and_paths(self, tmp_path,
+                                                    monkeypatch):
+        # every fixed_step propagation probes, but fig2a's full model over
+        # 5 intervals, which do not pay for probing its 6-state blocks
+        plan, plans = PROPAGATE._plan, []
+        monkeypatch.setattr(PROPAGATE, "_plan",
+                            lambda *a: plans.append(plan(*a)) or plans[-1])
+        for run_id, entry, args, sets in _named_runs():
+            plans.clear()
+            getattr(experiments, entry)(*args, out_dir=tmp_path / run_id,
+                                        sets=sets)
+            if "fixed_step" not in run_id:
+                assert all(p.route == EIGEN_ORACLE for p in plans), run_id
+                continue
+            # propagate_eigen plans the eigen route in any run
+            stepped = [p for p in plans
+                       if p.route == FIXED_STEP and p.intervals]
+            assert stepped, run_id
+            probes = [p.probe for p in stepped]
+            assert probes == ([False, True] if "gap10" in run_id
+                              else [True] * len(probes)), run_id
+
