@@ -236,7 +236,8 @@ class ScenarioConfig:
                           default_window(self.get("basis.sidebands", 6)),
                           self.fock_cutoff())
 
-    def to_propagator(self, total_time_fs: float | None = None) -> PropagatorConfig:
+    def to_propagator(self, total_time_fs: float | None = None,
+                      duration_key: str | None = None) -> PropagatorConfig:
         sample = self.get("propagator.sample_every_fs")
         if sample is None and total_time_fs:
             sample = total_time_fs / 200.0
@@ -244,6 +245,7 @@ class ScenarioConfig:
             method=self.get("propagator.method", EIGEN_ORACLE),
             sample_every_fs=sample,
             norm_tol=self.get("propagator.norm_tol", 1e-8),
+            duration_key=duration_key,
         )
 
 

@@ -232,17 +232,19 @@ def _refine_peak(ts: np.ndarray, ys: np.ndarray) -> float:
 
 
 def _pinem_vs_jc(cfg: ScenarioConfig, params, schedule: gates.GateSchedule,
-                 ideal_target=None):
+                 ideal_target=None, duration_key: str | None = None):
     """Execute schedule from gate.initial times the coherent drive on the
     full PINEM model and on the quantized ideal JC (the bare +-1/2 pair).
 
-    Returns (PINEM result, JC result, rms of their qubit populations).
+    Returns (PINEM result, JC result, rms of their qubit populations).  A
+    refused propagation names duration_key, the key of the schedule's
+    duration, if the run has one.
     """
     basis = cfg.to_basis()
     photon = hilbert.coherent_state(cfg.alpha(), basis.fock_cutoff)
     label = (hilbert.E_LABEL if cfg.values["gate.initial"] == "e"
              else hilbert.G_LABEL)
-    prop = cfg.to_propagator(schedule.wall_time_fs)
+    prop = cfg.to_propagator(schedule.wall_time_fs, duration_key)
 
     def run(kind: ModelKind, b: hilbert.BasisSpec) -> gates.GateResult:
         ket = (np.asarray(b.sideband_indices) == label).astype(np.complex128)
@@ -500,7 +502,8 @@ def _run_collapse_revival(cfg: ScenarioConfig, params, record, out: Path):
     init_label = cfg.values["gate.initial"]
     schedule = gates.GateSchedule(segments=(gates.ScheduleSegment(
         ModelKind.PINEM_FULL, cfg.values["run.total_time_fs"]),))
-    result, result_jc, rms_full = _pinem_vs_jc(cfg, params, schedule)
+    result, result_jc, rms_full = _pinem_vs_jc(
+        cfg, params, schedule, duration_key="run.total_time_fs")
     traj, traj_jc = result.trajectory, result_jc.trajectory
 
     series = analytics.pe_exact_sum(alpha, g, traj.times_fs,

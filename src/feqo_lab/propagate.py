@@ -10,23 +10,22 @@ Chebyshev expansion in n terms (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967
 yields U's blocks side by side as one sparse matrix, or streamed, run on the
 state in every interval.  The two routes are cross-checked in the tests.
 
-_plan prices a propagation once, before anything is allocated, in stored
-entries touched and peak bytes, with b the solved block sizes, w the
-largest, K the intervals, e = nnz(A) + sum(b) and c = STEP_WORK:
-    EIGEN_ORACLE  work sum(b^3)                  bytes 64 sum(b^2)
-    probed        work n w e + K (sum(b^2) + c)  bytes 64 sum(b) w + 32 n
-    streamed      work K (n e + c)               bytes 64 sum(b) + 32 n
-FIXED_STEP probes when that is less work and fits MAX_BYTES.  A plan over
-MAX_INTERVALS, MAX_WORK or MAX_BYTES is refused with its numbers and the
---set changes under which it fits.
-
-The samples sit on the grid of `propagate` and are reduced to their metrics
-in chunks of at most CHUNK_AMPLITUDES amplitudes, one array pass per chunk.
+_plan prices a propagation once, before anything is allocated.  With b the
+solved block sizes, w the largest, K the intervals, D the dimension and
+e = nnz(A) + sum(b), it counts stored entries touched (work) and peak bytes:
+    EIGEN_ORACLE  work sum(b^3) + K sum(b^2)  bytes 64 sum(b^2)
+    probed        work n w e + K sum(b^2)     bytes 64 sum(b) w + 32 n
+    streamed      work K n e                  bytes 64 sum(b) + 32 n
+plus K (D + SAMPLE_WORK) for the samples, and FIXED_STEP rounds away about
+K n 2**-53 of norm.  FIXED_STEP probes when that is less work and fits
+MAX_BYTES.  A plan over MAX_INTERVALS, MAX_WORK, MAX_BYTES or norm_tol is
+refused with its numbers and the changes under which it fits.  The samples
+are reduced to their metrics in chunks of at most CHUNK_AMPLITUDES
+amplitudes, one array pass per chunk.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -47,7 +46,7 @@ FIXED_STEP = "fixed_step"
 MAX_INTERVALS = 10 ** 6     # sample intervals one propagation may hold
 MAX_WORK = 5 * 10 ** 8      # stored entries one propagation may touch
 MAX_BYTES = 2 ** 30         # bytes one propagation may hold at its peak
-STEP_WORK = 10 ** 4         # one interval's Python and scipy calls, in entries
+SAMPLE_WORK = 10 ** 4       # one sample's Python and numpy calls, in entries
 CHUNK_AMPLITUDES = 2 ** 18  # amplitudes (4 MiB) reduced to metrics at once
 
 
@@ -56,6 +55,7 @@ class PropagatorConfig:
     method: str = EIGEN_ORACLE
     sample_every_fs: float | None = None   # widest sample gap; defaults to total_time / 200
     norm_tol: float = 1e-8
+    duration_key: str | None = None   # the --set key of the duration, if any
 
     def __post_init__(self):
         if self.method not in (EIGEN_ORACLE, FIXED_STEP):
@@ -114,12 +114,9 @@ def _occupied_blocks(H: HermitianOperator, psi0: StateVector
                      ) -> list[np.ndarray]:
     """The blocks of H where psi0 has weight: H never joins two blocks, so
     every other block stays exactly zero."""
-    blocks = H.blocks()
-    sizes = np.fromiter(map(len, blocks), np.intp, len(blocks))
-    hit = np.logical_or.reduceat(psi0.amplitudes[np.concatenate(blocks)] != 0,
-                                 np.cumsum(sizes) - sizes)
+    support = psi0.amplitudes != 0
     # a zero state stays zero under any one block
-    return [blocks[k] for k in np.flatnonzero(hit)] or blocks[:1]
+    return [idx for idx in H.blocks() if support[idx].any()] or H.blocks()[:1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,6 +133,29 @@ class _Plan:
     centres: np.ndarray | None = None   # each solved state's block centre
     radius: float = 0.0         # half the widest solved block's interval
     terms: int = 0              # Chebyshev coefficients a step
+    drift: float = 0.0          # norm rounded away, 2**-53 a Chebyshev term
+
+
+def _spectrum(H: HermitianOperator, blocks: list[np.ndarray]):
+    """(each solved state's block centre, radius, e) of FIXED_STEP, from the
+    Gershgorin intervals of the solved blocks."""
+    order = np.concatenate(blocks)
+    sizes = np.array([idx.size for idx in blocks])
+    label = np.full(H.dimension, -1)   # block of each state, -1 unsolved
+    label[order] = np.repeat(np.arange(len(blocks)), sizes)
+    upper = H.upper.tocoo()
+    ends = [label[i[upper.data != 0]] for i in (upper.row, upper.col)]
+    if np.any(ends[0] != ends[1]):
+        raise PropagationError(
+            "a coupling of H joins two blocks, so the block centres do not "
+            "commute with H: H.blocks() does not follow H's couplings")
+    starts, radii = np.cumsum(sizes) - sizes, H.gershgorin_radii()[order]
+    lo = np.minimum.reduceat(H.diag[order] - radii, starts)
+    hi = np.maximum.reduceat(H.diag[order] + radii, starts)
+    # small pad keeps the map inside [-1, 1]
+    return (np.repeat(0.5 * (hi + lo), sizes),
+            float(0.5 * np.max(hi - lo) * 1.01 + 1e-12),
+            2 * order.size + 2 * int(np.count_nonzero(ends[0] >= 0)))
 
 
 def _plan(H: HermitianOperator, psi0: StateVector, total_time_fs: float,
@@ -151,30 +171,10 @@ def _plan(H: HermitianOperator, psi0: StateVector, total_time_fs: float,
         raise DomainError(f"the phase span max|diag H| T / hbar of a "
                           f"{total_time_fs:.6g} fs run is not finite")
     blocks = _occupied_blocks(H, psi0)
-    sizes = np.array([idx.size for idx in blocks])
+    sizes = np.array([idx.size for idx in blocks], dtype=float)
     states, width = int(sizes.sum()), int(sizes.max())
-    squares, cubes = (float(np.sum(sizes.astype(float) ** p)) for p in (2, 3))
-
-    @functools.cache
-    def chebyshev():
-        """(block centre of each solved state, radius, e)"""
-        order = np.concatenate(blocks)
-        label = np.full(H.dimension, -1)   # block of each state, -1 unsolved
-        label[order] = np.repeat(np.arange(len(blocks)), sizes)
-        upper = H.upper.tocoo()
-        ends = [label[i[upper.data != 0]] for i in (upper.row, upper.col)]
-        if np.any(ends[0] != ends[1]):
-            raise PropagationError(
-                "a coupling of H joins two blocks, so the block centres do "
-                "not commute with H: H.blocks() does not follow H's couplings")
-        starts = np.cumsum(sizes) - sizes
-        radii = H.gershgorin_radii()[order]
-        lo = np.minimum.reduceat(H.diag[order] - radii, starts)
-        hi = np.maximum.reduceat(H.diag[order] + radii, starts)
-        # small pad keeps the map inside [-1, 1]
-        return (np.repeat(0.5 * (hi + lo), sizes),
-                float(0.5 * np.max(hi - lo) * 1.01 + 1e-12),
-                2 * states + 2 * int(np.count_nonzero(ends[0] >= 0)))
+    squares, cubes = float(np.sum(sizes ** 2)), float(np.sum(sizes ** 3))
+    spectrum = _spectrum(H, blocks) if cfg.method == FIXED_STEP else None
 
     def price(method, t, gap) -> _Plan:
         """The plan of t fs sampled every gap fs (t / 200 if None)."""
@@ -183,65 +183,71 @@ def _plan(H: HermitianOperator, psi0: StateVector, total_time_fs: float,
             return _Plan(method, False, math.inf, blocks, math.inf, math.inf)
         # forgiving a relative rounding error of 1e-12 in t / gap
         k = max(math.ceil(ratio * (1.0 - 1e-12)), 1) if t else 0
+        samples = k * (H.dimension + SAMPLE_WORK)
         if method == EIGEN_ORACLE:
-            return _Plan(method, False, k, blocks, cubes, 64.0 * squares)
+            return _Plan(method, False, k, blocks, cubes + k * squares
+                         + samples, 64.0 * squares)
         if not k:
             return _Plan(method, False, 0, blocks, 0.0, 0.0)
-        centres, radius, e = chebyshev()
+        centres, radius, e = spectrum
         z = radius * (t / k) / _HBAR
         n = z + 15.0 * (z + 16.0) ** (1.0 / 3.0) + 24.0
         n = math.ceil(n) + 1 if n < 2.0 ** 60 else math.inf
         probed, streamed = n * width * e + k * squares, k * n * e
         probe = probed < streamed and 64 * states * width + 32 * n <= MAX_BYTES
         return _Plan(method, probe, k, blocks,
-                     (probed if probe else streamed) + k * STEP_WORK,
+                     (probed if probe else streamed) + samples,
                      64 * states * (width if probe else 1) + 32 * n,
-                     t / k, centres, radius, n)
+                     t / k, centres, radius, n, k * n * 2.0 ** -53)
 
     def fits(plan: _Plan) -> bool:
         return (plan.intervals <= MAX_INTERVALS and plan.work <= MAX_WORK
-                and plan.bytes <= MAX_BYTES)
+                and plan.bytes <= MAX_BYTES and plan.drift <= cfg.norm_tol)
 
     T, gap = total_time_fs, cfg.sample_every_fs
     plan = price(cfg.method, T, gap)
     if fits(plan):
         return plan
-    error, sets = DomainError, []
+    spectrum = spectrum or _spectrum(H, blocks)
     if plan.intervals > MAX_INTERVALS:
         what = (f"sampling {T:.6g} fs every {gap or T / 200:.6g} fs takes "
                 f"more than {MAX_INTERVALS} intervals; raise sample_every_fs")
-        gap = float(f"{T / MAX_INTERVALS * (1 + 1e-5):.6g}")
-        sets.append(f"propagator.sample_every_fs={gap}")
-    elif plan.route == EIGEN_ORACLE:
-        error, what = PropagationError, (
-            f"the eigen route on {states} states in blocks of up to {width} "
-            f"states needs")
     else:
-        what = (f"{plan.intervals} Chebyshev steps of {plan.dt:.4g} fs "
-                f"(propagator.sample_every_fs), about {plan.terms:.3g} terms "
-                f"each, {'probed' if plan.probe else 'streamed'} on {states} "
-                f"states, need")
-    if not sets:
-        what += (f" about {plan.work:.3g} stored entries touched and "
-                 f"{plan.bytes:.3g} bytes, above MAX_WORK = {MAX_WORK:.3g} or "
-                 f"MAX_BYTES = {MAX_BYTES:.3g}")
-    # the --set changes under which it fits: a wider sample gap, then the
-    # Chebyshev route, then a shorter run; or, from FIXED_STEP, the eigen route
-    eigen_fits = fits(price(EIGEN_ORACLE, T, gap))
-    eigen_sets = sets + [f"propagator.method={EIGEN_ORACLE}"]
-    if cfg.method == EIGEN_ORACLE and not eigen_fits:
-        what += "; use FIXED_STEP"
-        sets.append(f"propagator.method={FIXED_STEP}")
-    if (cfg.method == FIXED_STEP or not eigen_fits) \
-            and not fits(price(FIXED_STEP, T, gap)):
-        lo, hi = 0.0, T   # bisection over durations of 4 significant digits
-        while lo < (mid := float(f"{0.5 * (lo + hi):.4g}")) < hi:
-            lo, hi = (mid, hi) if fits(price(FIXED_STEP, mid, gap)) \
-                else (lo, mid)
-        sets.append(f"run.total_time_fs={lo}")
-    raise error(f"{what}; it fits with --set {' --set '.join(sets)}" + (
-        f", or on the eigen route with --set {' --set '.join(eigen_sets)}"
-        if eigen_fits and cfg.method == FIXED_STEP else ""))
+        over = [f"{name} = {limit:.3g}" for name, cost, limit in (
+            ("MAX_WORK", plan.work, MAX_WORK), ("MAX_BYTES", plan.bytes,
+            MAX_BYTES), ("norm_tol", plan.drift, cfg.norm_tol))
+            if cost > limit]
+        what = (f"the eigen route on {states} states in blocks of up to "
+                f"{width} states" if plan.route == EIGEN_ORACLE else
+                f"{plan.intervals} Chebyshev steps of {plan.dt:.4g} fs, about "
+                f"{plan.terms:.3g} terms each, "
+                f"{'probed' if plan.probe else 'streamed'} on {states} states")
+        what += (f": about {plan.work:.3g} stored entries touched, "
+                 f"{plan.bytes:.3g} bytes and a norm drift of "
+                 f"{plan.drift:.2g}, above {' and '.join(over)}")
+    # the narrowest sample gap under which each route fits, and the longest
+    # duration under which this one does
+    gaps = [float(f"{T / MAX_INTERVALS ** (1 - j / 96):.4g}")
+            for j in range(97)]
+    ways = []
+    other = {EIGEN_ORACLE: FIXED_STEP, FIXED_STEP: EIGEN_ORACLE}[cfg.method]
+    for method in (cfg.method, other):
+        on = "" if method == cfg.method else " on " + (
+            "FIXED_STEP" if method == FIXED_STEP else "the eigen route")
+        fit = [gap] if on and fits(price(method, T, gap)) else [
+            g for g in gaps if fits(price(method, T, g))][:1]
+        sets = [f"propagator.method={method}"] * bool(on) + [
+            f"propagator.sample_every_fs={g}" for g in fit if g != gap]
+        ways.append(f"it fits{on} with --set {' --set '.join(sets)}"
+                    if fit else f"no propagator.sample_every_fs fits it{on}")
+    spans = [float(f"{T * 2 ** (-j / 4):.4g}") for j in range(1, 400)]
+    t = next((t for t in spans if fits(price(cfg.method, t, gap))), 0.0)
+    if t:
+        ways.insert(1, f"it fits with --set {cfg.duration_key}={t}"
+                    if cfg.duration_key else f"it fits in {t} fs")
+    raise (PropagationError if plan.route == EIGEN_ORACLE
+           and plan.intervals <= MAX_INTERVALS else DomainError)(
+        f"{what}; {'; '.join(ways)}")
 
 
 def _eigen_route(H: HermitianOperator, psi0: StateVector):

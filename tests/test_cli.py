@@ -1,6 +1,8 @@
+import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -588,6 +590,29 @@ class TestCliEntry:
         assert remedy in result.output and "eigen route" in result.output
         assert time.perf_counter() - start < 30.0
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("name,sets", [
+        ("fig2a", ["gate.theta_rad=1e300"]),
+        ("s1_bragg", ["run.total_time_fs=1e7"]),
+        ("s1_bragg", ["run.total_time_fs=1e6",
+                      "propagator.sample_every_fs=10"]),
+    ])
+    def test_chebyshev_cost_refusal_ways_out_run(self, tmp_path, monkeypatch,
+                                                 name, sets):
+        # every --set change a refusal names is one the refused entry point
+        # reads, and the run it names completes; a lower budget keeps the
+        # runs it names short
+        monkeypatch.setattr(importlib.import_module("feqo_lab.propagate"),
+                            "MAX_WORK", 10 ** 8)
+        sets = ["propagator.method=fixed_step", *sets]
+        with pytest.raises(DomainError) as refusal:
+            run_experiment(name, out_dir=tmp_path, sets=sets)
+        ways = [re.findall(r"--set (\S+)", way)
+                for way in str(refusal.value).split("; ")[1:]]
+        assert any(ways), refusal.value
+        for k, way in enumerate(filter(None, ways)):
+            assert run_experiment(name, out_dir=tmp_path / str(k),
+                                  fmt="json", sets=sets + way).files, way
 
     @pytest.mark.parametrize("key,value", [
         ("electron.beta", "1e-300"),    # H holds an infinite energy

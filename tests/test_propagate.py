@@ -313,28 +313,40 @@ class TestSamplingContract:
 
     def test_chebyshev_cost_bounds(self, vacuum_block, monkeypatch):
         # 4 intervals of 2.5 fs, 64 coefficients a step: probed on 2 columns,
-        # 40784 entries touched and 2304 bytes; streamed, 41536 and 2176
+        # 40800 entries touched (40016 of them the 4 samples) and 2304 bytes;
+        # streamed, 41552 and 2176; 4 * 64 terms round the norm by 2.8e-14
         basis, h = vacuum_block
         psi0 = basis_ket(basis, (0.5,), 0)
-        cfg = PropagatorConfig(method=FIXED_STEP, sample_every_fs=2.5)
-        monkeypatch.setattr(PROPAGATE, "MAX_WORK", 40784)
+        cfg = PropagatorConfig(method=FIXED_STEP, sample_every_fs=2.5,
+                               duration_key="run.total_time_fs")
+        monkeypatch.setattr(PROPAGATE, "MAX_WORK", 40800)
         monkeypatch.setattr(PROPAGATE, "MAX_BYTES", 2304)
         assert len(propagate(h, psi0, 10.0, cfg).times_fs) == 5
-        monkeypatch.setattr(PROPAGATE, "MAX_WORK", 40783)
-        with pytest.raises(DomainError, match=r"probed on 2 states, need "
-                           r"about 4\.08e\+04 stored entries touched .*; it "
-                           r"fits with --set run\.total_time_fs=.*, or on "
-                           r"the eigen route"):
+        monkeypatch.setattr(PROPAGATE, "MAX_WORK", 40799)
+        with pytest.raises(DomainError, match=r"probed on 2 states: about "
+                           r"4\.08e\+04 stored entries touched, .* above "
+                           r"MAX_WORK = 4\.08e\+04; .*it fits with --set "
+                           r"run\.total_time_fs=.*; it fits on the eigen "
+                           r"route with --set propagator\.method=eigen$"):
             propagate(h, psi0, 10.0, cfg)
-        monkeypatch.setattr(PROPAGATE, "MAX_WORK", 41536)
+        monkeypatch.setattr(PROPAGATE, "MAX_WORK", 41552)
         monkeypatch.setattr(PROPAGATE, "MAX_BYTES", 2176)
         assert len(propagate(h, psi0, 10.0, cfg).times_fs) == 5
         monkeypatch.setattr(PROPAGATE, "MAX_BYTES", 2175)
-        with pytest.raises(DomainError, match=r"streamed on 2 states, need "
-                           r".* and 2\.18e\+03 bytes, above .*; it fits "
-                           r"with --set run\.total_time_fs=.*, or on the "
-                           r"eigen route"):
+        with pytest.raises(DomainError, match=r"streamed on 2 states: .* "
+                           r"2\.18e\+03 bytes .*above MAX_BYTES = 2\.18e\+03; "
+                           r".*it fits with --set run\.total_time_fs=.*; it "
+                           r"fits on the eigen route"):
             propagate(h, psi0, 10.0, cfg)
+        drift = 4 * 64 * 2.0 ** -53
+        monkeypatch.setattr(PROPAGATE, "MAX_BYTES", 2304)
+        tight = dataclasses.replace(cfg, norm_tol=drift)
+        assert len(propagate(h, psi0, 10.0, tight).times_fs) == 5
+        with pytest.raises(DomainError, match=r"norm drift of 2\.8e-14, "
+                           r"above norm_tol = 2\.81e-14; .*it fits on the "
+                           r"eigen route"):
+            propagate(h, psi0, 10.0, dataclasses.replace(
+                tight, norm_tol=0.99 * drift))
 
     def test_unaffordable_step_refused_before_allocating(self, vacuum_block,
                                                           monkeypatch):
@@ -370,21 +382,31 @@ class TestSamplingContract:
             self, strong_params, rng, monkeypatch):
         # 6696 states in blocks of at most 216: the eigen route would hold
         # 8.3e7 bytes and the four probe arrays 4 * 6696 * 216 * 16 B = 9.3e7,
-        # both above 2**24; streaming 220 intervals touches 6.4e8 entries
+        # both above 2**24
         basis = make_basis(3, default_window(6), 30)
         h = build_pinem(strong_params, basis)
         psi0 = StateVector(basis, random_state(rng, basis.dimension))
         exact = propagate_eigen(h, psi0, 0.5).amplitudes
         h.to_csr()   # cached before the measured call
         monkeypatch.setattr(PROPAGATE, "MAX_BYTES", 2 ** 24)
-        with pytest.raises(PropagationError, match="use FIXED_STEP; it fits "
-                           "with --set propagator.method=fixed_step$"):
+        with pytest.raises(PropagationError, match="above MAX_BYTES = "
+                           r"1\.68e\+07; .*; it fits on FIXED_STEP with --set "
+                           "propagator.method=fixed_step$"):
             propagate_eigen(h, psi0, 0.5)
-        monkeypatch.setattr(PROPAGATE, "MAX_WORK", 10 ** 9)
+        # the default MAX_WORK refuses 220 streamed intervals (6.4e8 entries);
+        # the wider sample gap the refusal names fits
+        with pytest.raises(DomainError, match=r"220 Chebyshev steps .* "
+                           r"streamed on 6696 states: about 6\.38e\+08 .*"
+                           r"above MAX_WORK = 5e\+08; it fits with --set "
+                           r"propagator\.sample_every_fs=(\S+);") as refusal:
+            propagate(h, psi0, 0.5, PropagatorConfig(
+                method=FIXED_STEP, sample_every_fs=0.5 / 220))
+        gap = float(re.search(r"sample_every_fs=([^;\s]+);",
+                              str(refusal.value))[1])
         tracemalloc.start()
         try:
             traj = propagate(h, psi0, 0.5, PropagatorConfig(
-                method=FIXED_STEP, sample_every_fs=0.5 / 220))
+                method=FIXED_STEP, sample_every_fs=gap))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -417,17 +439,18 @@ class TestDimensionCap:
 
     def test_cap_bounds_the_largest_block(self, rng, monkeypatch):
         # a 16-state JC ladder has blocks of at most 2 states: 7 pairs and
-        # 2 singletons, sum(b^3) = 58
+        # 2 singletons, sum(b^3) = 58; one sample adds sum(b^2) = 30, the
+        # 16 amplitudes and SAMPLE_WORK
         basis = make_basis(1, qubit_window(), 7)
         h = build_jc_interaction(0.05, basis)
         psi0 = StateVector(basis, random_state(rng, basis.dimension))
-        self.set_cap(monkeypatch, 58)
+        self.set_cap(monkeypatch, 10104)
         propagate_eigen(h, psi0, 1.0)
-        self.set_cap(monkeypatch, 57)
+        self.set_cap(monkeypatch, 10103)
         with pytest.raises(PropagationError,
-                           match=r"\b2 states needs about 58 .*"
-                                 r"MAX_WORK = 57\b"):
-            propagate(h, psi0, 1.0)
+                           match=r"\b2 states: about 1\.01e\+04 .*"
+                                 r"MAX_WORK = 1\.01e\+04; .*FIXED_STEP"):
+            propagate_eigen(h, psi0, 1.0)
 
     def test_three_electron_pinem_runs_on_the_eigen_route(self, strong_params,
                                                           rng, monkeypatch):
@@ -534,16 +557,6 @@ class TestBlockRoute:
                              - fixed.final_state.amplitudes)) < 1e-9
         assert np.max(np.abs(traj.populations - fixed.populations)) < 1e-10
         assert np.max(np.abs(traj.entropy_nats - fixed.entropy_nats)) < 1e-9
-
-    def test_occupied_blocks_match_the_loop(self, strong_params,
-                                            fig2b_params, rng):
-        for case, h in _block_cases(strong_params, fig2b_params).items():
-            for share in (0.0, 0.05, 0.3, 1.0):
-                amps = (rng.random(h.dimension) < share).astype(complex)
-                loop = [idx for idx in h.blocks() if amps[idx].any()] \
-                    or h.blocks()[:1]   # a zero state keeps one block
-                got = PROPAGATE._occupied_blocks(h, StateVector(h.basis, amps))
-                assert [id(idx) for idx in got] == [id(idx) for idx in loop]
 
     def test_dense_random_hermitian_is_one_block(self, rng):
         basis = make_basis(2, qubit_window(), 3)
@@ -718,25 +731,46 @@ class TestPlan:
 
     def test_long_run_is_priced_as_a_probe(self, tmp_path, monkeypatch):
         # s1_bragg for 1e7 fs sampled every 20 fs: 500000 intervals of 1081
-        # coefficients, probed once on 6 columns, then 500000 sparse products
+        # coefficients, probed once on 6 columns, then 500000 sparse products;
+        # 5.4e8 terms round the norm by 6e-8, above the 1e-8 norm guard, and
+        # the rounding follows the duration, whatever the sample gap
         plan, args = PROPAGATE._plan, []
         monkeypatch.setattr(PROPAGATE, "_plan",
                             lambda *a: args.append(a) or plan(*a))
         with pytest.raises(DomainError, match=(
-                r"500000 Chebyshev steps of 20 fs .*about 1\.08e\+03 terms "
-                r"each, probed on 219 states, need about 5\.64e\+09 stored "
-                r"entries touched and 1\.19e\+05 bytes, above MAX_WORK = "
-                r"5e\+08 .*; it fits with --set run\.total_time_fs=.*, or on "
-                r"the eigen route")):
+                r"500000 Chebyshev steps of 20 fs, about 1\.08e\+03 terms "
+                r"each, probed on 219 states: about 5\.76e\+09 stored entries "
+                r"touched, 1\.19e\+05 bytes and a norm drift of 6e-08, above "
+                r"MAX_WORK = 5e\+08 and norm_tol = 1e-08; no "
+                r"propagator\.sample_every_fs fits it; it fits with --set "
+                r"run\.total_time_fs=\S+; it fits on the eigen route with "
+                r"--set propagator\.method=eigen --set "
+                r"propagator\.sample_every_fs=\S+$")):
             run_experiment("s1_bragg", out_dir=tmp_path, sets=[
                 "propagator.method=fixed_step", "run.total_time_fs=1e7",
                 "propagator.sample_every_fs=20"])
         assert not any(tmp_path.iterdir())
-        monkeypatch.setattr(PROPAGATE, "MAX_WORK", 5.65e9)
-        fitting = plan(*args[-1])
+        h, psi0, total, cfg = args[-1]
+        monkeypatch.setattr(PROPAGATE, "MAX_WORK", 5.77e9)
+        fitting = plan(h, psi0, total, dataclasses.replace(
+            cfg, norm_tol=500000 * 1081 * 2.0 ** -53))
         assert fitting.route == FIXED_STEP and fitting.probe
         assert fitting.intervals == 500000 and fitting.terms == 1081
         assert max(idx.size for idx in fitting.blocks) == 6
+
+    @staticmethod
+    def ways_out(message):
+        """(route, --set pairs, duration) of each way out a refusal names;
+        None for a route no sample gap fits."""
+        for way in message.split("; ")[1:]:
+            route = re.search(r" on (FIXED_STEP|the eigen route)", way)
+            sets = dict(re.findall(r"--set ([\w.]+)=(\S+)", way))
+            span = re.fullmatch(r"it fits in (\S+) fs", way)
+            if way.startswith("no propagator.sample_every_fs fits it"):
+                yield route and route[1], None, None
+            elif way.startswith("it fits"):
+                assert sets or span, way
+                yield sets.get("propagator.method"), sets, span and span[1]
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(case=st.sampled_from(["jc", "jc_interaction", "tc", "pinem",
@@ -744,44 +778,49 @@ class TestPlan:
            method=st.sampled_from([EIGEN_ORACLE, FIXED_STEP]),
            log_time=st.floats(-1.0, 9.0),
            log_gap=st.none() | st.floats(-9.0, 0.0),
-           log_budgets=st.tuples(st.integers(0, 6), st.floats(2.0, 9.0),
-                                 st.floats(3.0, 6.0)))
+           log_budgets=st.tuples(st.integers(1, 6), st.floats(5.0, 9.0),
+                                 st.floats(3.5, 7.0)),
+           log_tol=st.floats(-14.0, -6.0),
+           key=st.none() | st.just("run.total_time_fs"))
     def test_each_refusal_names_a_way_out_that_runs(
-            self, cases, case, method, log_time, log_gap, log_budgets):
+            self, cases, case, method, log_time, log_gap, log_budgets,
+            log_tol, key):
         h = cases[case]
         psi0 = StateVector(h.basis, np.full(h.dimension, h.dimension ** -0.5,
                                             dtype=complex))
         total = 10.0 ** log_time
-        gap = None if log_gap is None else total * 10.0 ** log_gap
+        cfg = PropagatorConfig(
+            method=method, sample_every_fs=None if log_gap is None
+            else total * 10.0 ** log_gap, norm_tol=10.0 ** log_tol,
+            duration_key=key)
         with pytest.MonkeyPatch.context() as mp:
             for name, log in zip(("MAX_INTERVALS", "MAX_WORK", "MAX_BYTES"),
                                  log_budgets):
                 mp.setattr(PROPAGATE, name, 10 ** log)
             try:
-                PROPAGATE._plan(h, psi0, total, PropagatorConfig(
-                    method=method, sample_every_fs=gap))
+                PROPAGATE._plan(h, psi0, total, cfg)
                 return
             except (DomainError, PropagationError) as exc:
                 refusal = exc
             message = str(refusal)
-            event(f"{type(refusal).__name__}: " + ", ".join(sorted(re.findall(
-                r"--set ([\w.]+)=", message))))
+            event(f"{type(refusal).__name__}: " + ", ".join(
+                re.sub(r"=\S+|[\d.e+-]+ fs", "", way)
+                for way in message.split("; ")[1:]))
             assert isinstance(refusal, PropagationError) == (
                 method == EIGEN_ORACLE and "intervals" not in message)
-            ways = message.split("; it fits with ")[1].split(
-                ", or on the eigen route with ")
-            for way in ways:
-                sets = dict(re.findall(r"--set ([\w.]+)=([^\s,]+)", way))
-                assert sets and set(sets) <= {
-                    "propagator.method", "propagator.sample_every_fs",
-                    "run.total_time_fs"}
-                cfg = PropagatorConfig(
-                    method=sets.get("propagator.method", method),
+            assert ("run.total_time_fs" in message) <= (key is not None)
+            for route, sets, span in self.ways_out(message):
+                if sets is None:   # no sample gap fits on that route
+                    assert route is None or route != method
+                    continue
+                named = dataclasses.replace(
+                    cfg, method=sets.get("propagator.method", method),
                     sample_every_fs=float(sets.get(
-                        "propagator.sample_every_fs", gap or 0)) or None)
-                plan = PROPAGATE._plan(h, psi0, float(sets.get(
-                    "run.total_time_fs", total)), cfg)
-                assert plan.route == cfg.method
+                        "propagator.sample_every_fs", cfg.sample_every_fs
+                        or 0)) or None)
+                plan = PROPAGATE._plan(h, psi0, float(
+                    span or sets.get("run.total_time_fs", total)), named)
+                assert plan.route == named.method
 
     def test_named_runs_keep_their_routes_and_paths(self, tmp_path,
                                                     monkeypatch):
