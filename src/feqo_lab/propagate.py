@@ -208,7 +208,7 @@ def _plan(H: HermitianOperator, psi0: StateVector, total_time_fs: float,
     plan = price(cfg.method, T, gap)
     if fits(plan):
         return plan
-    spectrum = spectrum or _spectrum(H, blocks)
+    spectrum = spectrum or _spectrum(H, blocks)   # to price FIXED_STEP
     if plan.intervals > MAX_INTERVALS:
         what = (f"sampling {T:.6g} fs every {gap or T / 200:.6g} fs takes "
                 f"more than {MAX_INTERVALS} intervals; raise sample_every_fs")
