@@ -151,32 +151,35 @@ def _emit(out: Path, fmt: str, record: ResultRecord,
 def export_density_matrix(state_or_rho, path, qubit_subset=None) -> str:
     """Write a qubit-block density matrix as JSON (real/imag + labels).
 
-    Accepts a StateVector (reduced over the photon and projected onto the
-    computational block) or an explicit qubit-block matrix.  Subsets of more
-    than 3 qubits are refused for full-matrix export; the qubits outside
-    qubit_subset are traced out.
+    Accepts a StateVector, whose qubit-block amplitudes Q are contracted
+    with their conjugate over the photon and the qubits outside qubit_subset,
+    or an explicit qubit-block matrix, traced over those qubits.  More than
+    3 kept qubits are refused for full-matrix export.
     """
     if isinstance(state_or_rho, StateVector):
-        basis = state_or_rho.basis
-        rho_e = hilbert.partial_trace(state_or_rho, keep="electrons")
-        block = hilbert.computational_block(rho_e, basis)
-        n = basis.num_electrons
+        n = state_or_rho.basis.num_electrons
     else:
         block = np.asarray(state_or_rho.matrix
                            if isinstance(state_or_rho, hilbert.DensityOperator)
                            else state_or_rho, dtype=np.complex128)
         n = int(round(math.log2(block.shape[0])))
-    if qubit_subset is not None:
-        keep = tuple(qubit_subset)
-        if len(keep) > 3:
-            raise DomainError("full-matrix export is limited to 3 qubits")
-        if len(set(keep)) != len(keep) or any(not 0 <= q < n for q in keep):
-            raise DomainError(f"invalid qubit subset {keep} of {n} qubits")
-        block, n = hilbert.reduce_operator(block, (2,) * n, keep), len(keep)
-    elif n > 3:
-        raise DomainError("full-matrix export is limited to 3 qubits; pass a "
-                          "qubit_subset")
-    labels = hilbert.computational_labels(n)
+    keep = tuple(range(n) if qubit_subset is None else qubit_subset)
+    if len(keep) > 3:
+        raise DomainError("full-matrix export is limited to 3 qubits" + (
+            "; pass a qubit_subset" if qubit_subset is None else ""))
+    if len(set(keep)) != len(keep) or any(not 0 <= q < n for q in keep):
+        raise DomainError(f"invalid qubit subset {keep} of {n} qubits")
+    if isinstance(state_or_rho, StateVector):
+        q = hilbert.qubit_amplitudes(state_or_rho).reshape((2,) * n + (-1,))
+        # rows index the qubits and the photon 0..n; a kept qubit a has its
+        # own column index n + 1 + a, every other index is summed
+        cols = [n + 1 + a if a in keep else a for a in range(n)] + [n]
+        block = np.einsum(q, [*range(n + 1)], q.conj(), cols,
+                          [*keep, *(n + 1 + a for a in keep)]
+                          ).reshape(2 ** len(keep), -1)
+    elif qubit_subset is not None:
+        block = hilbert.reduce_operator(block, (2,) * n, keep)
+    labels = hilbert.computational_labels(len(keep))
     payload = {
         "basis_labels": list(labels),
         "real": block.real,
@@ -469,17 +472,14 @@ def _run_fig3(cfg: ScenarioConfig, params, record, out: Path):
     for k, (seg, state, ideal) in enumerate(
             zip(segs, result.segment_states, ideal_states), start=1):
         metrics[f"T_theta{k}_fs"] = seg.duration_fs
-        score = gates.score_state(state, ideal)
-        metrics[f"fidelity_step{k}"] = score.fidelity
+        metrics[f"fidelity_step{k}"] = gates.score_state(state, ideal).fidelity
         record.files.append(export_density_matrix(
-            score.reduced_qubits, out / f"fig3_rho_step{k}.json",
+            state, out / f"fig3_rho_step{k}.json",
             qubit_subset=seg.active_electrons if wide else None))
 
     # readout frame correction on qubit 2 clears the geg-vs-egg phase
     corrected = gates.apply_virtual_z(result.final_state, {1: math.pi / 4})
-    rho_c = hilbert.computational_block(
-        hilbert.partial_trace(corrected, keep="electrons"), basis)
-    diag = np.real(np.diag(rho_c))
+    diag = np.sum(np.abs(hilbert.qubit_amplitudes(corrected)) ** 2, axis=1)
     labels = hilbert.computational_labels(n_q)
     single_exc = [i for i, lab in enumerate(labels) if lab.count("e") == 1]
     metrics["diag_populations"] = {labels[i]: float(diag[i])
@@ -487,7 +487,7 @@ def _run_fig3(cfg: ScenarioConfig, params, record, out: Path):
     metrics["virtual_rz_on_qubit2_rad"] = math.pi / 2
     metrics["leakage_final"] = result.leakage
     record.files.append(export_density_matrix(
-        hilbert.DensityOperator(rho_c), out / "fig3_rho_corrected.json",
+        corrected, out / "fig3_rho_corrected.json",
         qubit_subset=(0, 1) if wide else None))
 
     traj = result.trajectory

@@ -23,12 +23,10 @@ from operator import add
 
 import numpy as np
 
-from .analytics import leakage_fraction
 from .errors import BasisError, DomainError
 from .hamiltonian import ModelKind, build_model
-from .hilbert import (DensityOperator, StateVector, computational_block,
-                      partial_trace, pure_target_fidelity, schmidt_entropy,
-                      uhlmann_fidelity)
+from .hilbert import (DensityOperator, StateVector, qubit_fidelity,
+                      sideband_leakage, state_metrics)
 from .physpar import _HBAR, ScenarioParams
 from .propagate import PropagatorConfig, Trajectory, propagate
 
@@ -91,9 +89,8 @@ class GateSchedule:
 
 @dataclass
 class StateScore:
-    """Qubit-block density matrix and metrics of one register state."""
+    """Metrics of one register state."""
 
-    reduced_qubits: DensityOperator
     fidelity: float | None
     entropy_nats: float
     leakage: float
@@ -322,18 +319,12 @@ def execute(schedule: GateSchedule, initial_state: StateVector,
 def score_state(state: StateVector,
                 ideal_target: np.ndarray | DensityOperator | None = None
                 ) -> StateScore:
-    """Qubit block, electron entropy, sideband leakage and, unless
-    ideal_target is None, Uhlmann fidelity against it (a pure state vector
-    or density operator on the (e, g)-ordered qubit block); against a pure
-    vector t the fidelity is <t|rho|t>."""
+    """Electron entropy, sideband leakage and, unless ideal_target is None,
+    the fidelity of the qubit block against it (qubit_fidelity: a pure state
+    vector or density operator on the (e, g)-ordered qubit block), all from
+    the state vector."""
     basis = state.basis
-    block = computational_block(partial_trace(state, keep="electrons"), basis)
-    fidelity = None
-    if ideal_target is not None:
-        pure = (not isinstance(ideal_target, DensityOperator)
-                and np.ndim(ideal_target) == 1)
-        fidelity = (pure_target_fidelity if pure else uhlmann_fidelity)(
-            block, ideal_target)
-    return StateScore(DensityOperator(block), fidelity,
-                      float(schmidt_entropy(state.amplitudes, basis)),
-                      leakage_fraction(state))
+    pops, _, entropy, _ = state_metrics(basis, state.amplitudes[None])
+    return StateScore(
+        None if ideal_target is None else qubit_fidelity(state, ideal_target),
+        float(entropy[0]), max(float(sideband_leakage(pops, basis)[0]), 0.0))

@@ -59,7 +59,6 @@ class HermitianOperator:
     _csr: sparse.csr_matrix | None = field(default=None, repr=False)
     _dense: np.ndarray | None = field(default=None, repr=False)
     _blocks: list | None = field(default=None, repr=False)
-    _eig: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.diag = np.asarray(self.diag, dtype=np.float64)
@@ -115,15 +114,13 @@ class HermitianOperator:
     def eigensystem(self, blocks: Sequence[np.ndarray] | None = None
                     ) -> tuple[np.ndarray, sparse.csr_matrix]:
         """(w, V) of the given blocks of self.blocks(), every block by
-        default (cached), from one stacked dense eigh per block size.
+        default, from one stacked dense eigh per block size.
 
         Column k of the sparse V, of eigenvalue w[k], belongs to the k-th
         smallest flat index of the solved blocks and has its support in that
         index's block; with every block solved, V is square and block
         diagonal.
         """
-        if blocks is None and self._eig is not None:
-            return self._eig
         solve = self.blocks() if blocks is None else blocks
         h = self.to_csr()
         flat = np.sort(np.concatenate(solve))
@@ -145,8 +142,6 @@ class HermitianOperator:
         v = sparse.csr_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(self.dimension, flat.size))
-        if blocks is None:
-            self._eig = (w, v)
         return w, v
 
     def gershgorin_radii(self) -> np.ndarray:

@@ -40,13 +40,15 @@ __all__ = [
     "computational_block",
     "computational_labels",
     "computational_state_vector",
+    "qubit_amplitudes",
+    "state_metrics",
     "electron_populations",
     "sideband_populations",
     "sideband_leakage",
-    "photon_populations",
     "photon_number_mean",
     "uhlmann_fidelity",
     "pure_target_fidelity",
+    "qubit_fidelity",
     "schmidt_entropy",
     "von_neumann_entropy",
     "purity",
@@ -396,25 +398,37 @@ def computational_state_vector(state: StateVector) -> np.ndarray:
     basis = state.basis
     if basis.photon_dim != 1 or basis.sideband_indices != qubit_window():
         raise BasisError("state is not on a bare qubit-register basis")
-    return state.amplitudes[_qubit_block_index(basis)]
+    return qubit_amplitudes(state)[:, 0]
 
 
-def electron_populations(state: StateVector | np.ndarray,
-                         basis: BasisSpec | None = None) -> np.ndarray:
-    """Occupation probabilities per electron and sideband.
+def qubit_amplitudes(state: StateVector) -> np.ndarray:
+    """Q, the state's (2^N, photon_dim) amplitudes on the +-1/2 qubit block,
+    rows in the gate order |e...e> ... |g...g>.  The qubit block of the
+    reduced electron operator is Q Q^dag, so every register quantity
+    follows from Q without forming the S^N x S^N electron operator."""
+    basis = state.basis
+    return state.amplitudes.reshape(-1, basis.photon_dim)[
+        _qubit_block_index(basis)]
 
-    state is a StateVector, giving shape (num_electrons, sideband_count), or
-    |amplitudes|^2 of shape (..., *basis.shape), giving
-    (..., num_electrons, sideband_count) with the leading axes kept.
-    """
-    if isinstance(state, StateVector):
-        probs, basis = np.abs(state.tensor()) ** 2, state.basis
-    else:
-        probs = state
-    lead = probs.ndim - basis.num_electrons - 1
-    axes = range(lead, probs.ndim)   # electrons, then the photon
-    return np.stack([probs.sum(axis=tuple(a for a in axes if a != el))
-                     for el in axes[:-1]], axis=-2)
+
+def state_metrics(basis: BasisSpec, amps: np.ndarray):
+    """(populations, photon mean, entropy, norm) of each row of the
+    (samples, dimension) amplitude array: the one reducer of states to
+    these metrics.  Populations are per electron and sideband, of shape
+    (samples, num_electrons, sideband_count); entropy is schmidt_entropy."""
+    probs = np.abs(amps) ** 2
+    photon = probs.reshape(len(amps), -1, basis.photon_dim).sum(axis=1)
+    grid = probs.reshape(-1, *basis.shape)
+    axes = range(1, grid.ndim)   # electrons, then the photon
+    return (np.stack([grid.sum(axis=tuple(a for a in axes if a != el))
+                      for el in axes[:-1]], axis=-2),
+            (photon * np.arange(basis.photon_dim)).sum(axis=-1),
+            schmidt_entropy(amps, basis), np.sqrt(probs.sum(axis=-1)))
+
+
+def electron_populations(state: StateVector) -> np.ndarray:
+    """(num_electrons, sideband_count) occupation probabilities."""
+    return state_metrics(state.basis, state.amplitudes[None])[0][0]
 
 
 def sideband_populations(state: StateVector, electron_index: int = 0) -> dict[float, float]:
@@ -436,14 +450,8 @@ def sideband_leakage(populations: np.ndarray, basis: BasisSpec) -> np.ndarray:
     return 1.0 - populations[..., pair].sum(axis=-1).mean(axis=-1)
 
 
-def photon_populations(state: StateVector) -> np.ndarray:
-    probs = np.abs(state.tensor()) ** 2
-    return probs.sum(axis=tuple(range(state.basis.num_electrons)))
-
-
 def photon_number_mean(state: StateVector) -> float:
-    pops = photon_populations(state)
-    return float(np.dot(np.arange(pops.size), pops))
+    return float(state_metrics(state.basis, state.amplitudes[None])[1][0])
 
 
 def _sqrtm_psd(mat: np.ndarray, psd_tol: float) -> np.ndarray:
@@ -497,6 +505,21 @@ def pure_target_fidelity(rho, target: np.ndarray) -> float:
         raise BasisError("fidelity operands must share a subsystem")
     _require_finite(a, t)
     return _bounded_fidelity(max(float(np.real(np.vdot(t, a @ t))), 0.0))
+
+
+def qubit_fidelity(state: StateVector, target) -> float:
+    """Fidelity of the state's qubit block Q Q^dag (qubit_amplitudes) and a
+    target on the (e, g)-ordered block: against a pure vector t it is
+    |t^dag Q|^2 = <t|Q Q^dag|t> (Jozsa, J. Mod. Opt. 41, 2315 (1994)),
+    without forming Q Q^dag; a density operator goes to uhlmann_fidelity."""
+    q = qubit_amplitudes(state)
+    if isinstance(target, DensityOperator) or np.ndim(target) != 1:
+        return uhlmann_fidelity(q @ q.conj().T, target)
+    t = np.asarray(target, dtype=np.complex128)
+    if t.size != len(q):
+        raise BasisError("fidelity operands must share a subsystem")
+    _require_finite(q, t)
+    return _bounded_fidelity(float(np.sum(np.abs(t.conj() @ q) ** 2)))
 
 
 def schmidt_entropy(amplitudes: np.ndarray, basis: BasisSpec) -> np.ndarray:

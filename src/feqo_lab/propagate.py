@@ -20,8 +20,8 @@ plus K (D + SAMPLE_WORK) for the samples, and FIXED_STEP rounds away about
 K n 2**-53 of norm.  FIXED_STEP probes when that is less work and fits
 MAX_BYTES.  A plan over MAX_INTERVALS, MAX_WORK, MAX_BYTES or norm_tol is
 refused with its numbers and the changes under which it fits.  The samples
-are reduced to their metrics in chunks of at most CHUNK_AMPLITUDES
-amplitudes, one array pass per chunk.
+are reduced to their metrics by hilbert.state_metrics in chunks of at most
+CHUNK_AMPLITUDES amplitudes, one array pass per chunk.
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ from scipy import sparse, special
 
 from .errors import BasisError, DomainError, PropagationError
 from .hamiltonian import HermitianOperator
-from .hilbert import (StateVector, electron_populations, schmidt_entropy,
-                      sideband_leakage)
+from .hilbert import StateVector, sideband_leakage, state_metrics
 from .physpar import _HBAR
 
 __all__ = ["EIGEN_ORACLE", "FIXED_STEP", "PropagatorConfig", "Trajectory",
@@ -98,16 +97,6 @@ class Trajectory:
             join(self.photon_mean, later.photon_mean),
             join(self.entropy_nats, later.entropy_nats),
             join(self.norm, later.norm), later.final_state, self.basis)
-
-
-def _sample_metrics(basis, amps: np.ndarray):
-    """(populations, photon mean, entropy, norm) of each row of the
-    (samples, dimension) amplitude array."""
-    probs = np.abs(amps) ** 2
-    photon = probs.reshape(len(amps), -1, basis.photon_dim).sum(axis=1)
-    return (electron_populations(probs.reshape(-1, *basis.shape), basis),
-            (photon * np.arange(basis.photon_dim)).sum(axis=-1),
-            schmidt_entropy(amps, basis), np.sqrt(probs.sum(axis=-1)))
 
 
 def _occupied_blocks(H: HermitianOperator, psi0: StateVector
@@ -250,10 +239,10 @@ def _plan(H: HermitianOperator, psi0: StateVector, total_time_fs: float,
         f"{what}; {'; '.join(ways)}")
 
 
-def _eigen_route(H: HermitianOperator, psi0: StateVector):
+def _eigen_route(H: HermitianOperator, psi0: StateVector, blocks: list):
     """times -> (len(times), dim) amplitudes of V exp(-i L t / hbar) V^dag psi0,
-    solving the occupied blocks of H, which the plan has priced."""
-    w, v = H.eigensystem(_occupied_blocks(H, psi0))
+    solving the blocks of H that the plan found occupied and priced."""
+    w, v = H.eigensystem(blocks)
     coeff = v.conj().T @ psi0.amplitudes
     return lambda times: np.ascontiguousarray((v @ (
         np.exp(-1j * np.outer(w, times) / _HBAR) * coeff[:, None])).T)
@@ -262,9 +251,9 @@ def _eigen_route(H: HermitianOperator, psi0: StateVector):
 def propagate_eigen(H: HermitianOperator, psi0: StateVector, t_fs: float
                     ) -> StateVector:
     """Exact evolution psi(t) = V exp(-i L t / hbar) V^dag psi0."""
-    _plan(H, psi0, abs(t_fs), PropagatorConfig(sample_every_fs=abs(t_fs)
-                                               or None))
-    return StateVector(psi0.basis, _eigen_route(H, psi0)([t_fs])[0])
+    blocks = _plan(H, psi0, abs(t_fs), PropagatorConfig(
+        sample_every_fs=abs(t_fs) or None)).blocks
+    return StateVector(psi0.basis, _eigen_route(H, psi0, blocks)([t_fs])[0])
 
 
 class _ChebyshevStepper:
@@ -363,7 +352,7 @@ def propagate(H: HermitianOperator, psi0: StateVector, total_time_fs: float,
     psi0.require_normalized(max(cfg.norm_tol, 1e-9))
 
     if plan.route == EIGEN_ORACLE:
-        evolve = _eigen_route(H, psi0)
+        evolve = _eigen_route(H, psi0, plan.blocks)
     elif plan.intervals:
         step = _ChebyshevStepper(H, plan).step
     amps = psi0.amplitudes
@@ -377,7 +366,7 @@ def propagate(H: HermitianOperator, psi0: StateVector, total_time_fs: float,
             for k in range(a, b):
                 amps = batch[k - a] = step(amps) if k else amps
         pops[a:b], ph_mean[a:b], entropy[a:b], norms[a:b] = \
-            _sample_metrics(basis, batch)
+            state_metrics(basis, batch)
         drift = ~(np.abs(norms[a:b] - 1.0) <= cfg.norm_tol)
         if drift.any():
             k = a + int(np.argmax(drift))

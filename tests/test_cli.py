@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import json
 import math
 import os
@@ -22,8 +23,10 @@ from feqo_lab.cli.config import (DYNAMIC_KEYS, SCENARIO_KEYS, format_config,
                                  parse_set_overrides)
 from feqo_lab.cli.main import cli
 from feqo_lab.errors import DomainError
-from feqo_lab.hilbert import (StateVector, basis_ket, make_basis,
-                              partial_trace, photon_number_mean, qubit_window)
+from feqo_lab.hilbert import (StateVector, basis_ket, computational_block,
+                              default_window, make_basis, partial_trace,
+                              photon_number_mean, qubit_window,
+                              reduce_operator)
 
 UNITLESS_KEYS = {
     "gamma", "fidelity", "ideal_jc_fidelity", "fidelity_post_virtual_z",
@@ -473,17 +476,20 @@ class TestDensityExport:
 
     def test_subset_matches_partial_trace(self, tmp_path, rng):
         from conftest import random_state
-        basis = make_basis(3, qubit_window(), 0)
+        # leaky: sidebands outside +-1/2 and the photon hold weight
+        basis = make_basis(3, default_window(4), 2)
         state = StateVector(basis, random_state(rng, basis.dimension))
-        path = tmp_path / "rho_20.json"
-        export_density_matrix(state, path, qubit_subset=(2, 0))
-        payload = json.loads(path.read_text())
-        got = np.asarray(payload["real"]) + 1j * np.asarray(payload["imag"])
-        # reduced on (0, 2) in window order (g, e); flip to (e, g) and
-        # swap the two qubits to the requested (2, 0) order
-        rho = partial_trace(state, keep=(0, 2)).matrix.reshape(2, 2, 2, 2)
-        rho = rho[::-1, ::-1, ::-1, ::-1].transpose(1, 0, 3, 2)
-        assert np.max(np.abs(got - rho.reshape(4, 4))) < 1e-14
+        block = computational_block(partial_trace(state), basis)
+        subsets = [s for k in (1, 2, 3)
+                   for s in itertools.permutations(range(3), k)]
+        for k, subset in enumerate(subsets + [None]):
+            path = tmp_path / f"rho_{k}.json"
+            export_density_matrix(state, path, qubit_subset=subset)
+            payload = json.loads(path.read_text())
+            got = (np.asarray(payload["real"])
+                   + 1j * np.asarray(payload["imag"]))
+            ref = reduce_operator(block, (2, 2, 2), subset or (0, 1, 2))
+            assert np.max(np.abs(got - ref)) < 1e-14, subset
 
     @pytest.mark.parametrize("subset", [(0, 0), (3,), (0, -1)])
     def test_invalid_subset_rejected(self, subset):
@@ -738,6 +744,22 @@ class TestCliEntry:
         payload = json.loads(result.output)
         assert payload["metrics"]["fidelity_w"] >= 0.99
         assert payload["metrics"]["T_TC_fs"] == pytest.approx(250.0, rel=5e-2)
+
+
+def test_wstate_14_scores_under_3_gb(tmp_path):
+    """Scoring reads the state vector, so a 14-qubit W state runs in 3 GB of
+    address space: its 2^14 x 2^14 electron operator alone takes 4 GiB."""
+    src = str(Path(feqo_lab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run(
+        [sys.executable, "-c", "import resource, sys; "
+         "resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9,) * 2); "
+         "from feqo_lab.cli import run_wstate; "
+         "print(run_wstate(14, 'analog', out_dir=sys.argv[1], fmt='json')"
+         ".metrics['fidelity_w'])", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cli_import_leaves_out_scipy_stats():

@@ -14,8 +14,9 @@ from feqo_lab import (CODATA2018, DensityOperator, DomainError, GateSchedule,
                       tensor_product, von_neumann_entropy,
                       wstate_digital_sequence, wstate_tc_analog)
 from feqo_lab.gates import DispersiveRegimeWarning
-from feqo_lab.hilbert import (StateVector, computational_state_vector,
-                              fock_ket, sideband_populations)
+from feqo_lab.hilbert import (StateVector, computational_block,
+                              computational_state_vector, fock_ket,
+                              pure_target_fidelity, sideband_populations)
 from feqo_lab.propagate import propagate_eigen
 
 from conftest import random_state
@@ -339,6 +340,10 @@ class TestScoreState:
             pure = score_state(state, t)
             mixed = score_state(state, DensityOperator(np.outer(t, t.conj())))
             assert pure.fidelity == pytest.approx(mixed.fidelity, abs=1e-7)
+            # the Q route against the electron density matrix
+            assert pure.fidelity == pytest.approx(pure_target_fidelity(
+                computational_block(partial_trace(state), basis), t),
+                abs=1e-12)
             assert pure.entropy_nats == pytest.approx(von_neumann_entropy(
                 partial_trace(state, "electrons")), abs=1e-12)
             assert pure.leakage > 0.1

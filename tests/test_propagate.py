@@ -182,8 +182,8 @@ class TestChunkedSampling:
 
         # amplitudes grow by half from t = 4.5 fs on: the first bad sample
         # is t = 5 fs, the second of the second chunk (samples 3, 4, 5)
-        def growing_route(H, psi0):
-            evolve = route(H, psi0)
+        def growing_route(H, psi0, blocks):
+            evolve = route(H, psi0, blocks)
             return lambda times: evolve(times) * np.where(
                 np.asarray(times) > 4.5, 1.5, 1.0)[:, None]
 
