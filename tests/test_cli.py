@@ -482,14 +482,22 @@ class TestDensityExport:
         block = computational_block(partial_trace(state), basis)
         subsets = [s for k in (1, 2, 3)
                    for s in itertools.permutations(range(3), k)]
+        got = {}
         for k, subset in enumerate(subsets + [None]):
             path = tmp_path / f"rho_{k}.json"
             export_density_matrix(state, path, qubit_subset=subset)
             payload = json.loads(path.read_text())
-            got = (np.asarray(payload["real"])
-                   + 1j * np.asarray(payload["imag"]))
+            got[subset] = (np.asarray(payload["real"])
+                           + 1j * np.asarray(payload["imag"]))
             ref = reduce_operator(block, (2, 2, 2), subset or (0, 1, 2))
-            assert np.max(np.abs(got - ref)) < 1e-14, subset
+            assert np.max(np.abs(got[subset] - ref)) < 1e-14, subset
+        # the electrons' operator in window order: take the (e, g) =
+        # (+1/2, -1/2) rows, trace electron 1 on them and swap the other two
+        # to the requested (2, 0) order
+        eg = [basis.sideband_position(0.5), basis.sideband_position(-0.5)]
+        rho = partial_trace(state).matrix.reshape((4,) * 6)[np.ix_(*[eg] * 6)]
+        rho = np.einsum("abcdbf->cafd", rho).reshape(4, 4)
+        assert np.max(np.abs(got[2, 0] - rho)) < 1e-14
 
     @pytest.mark.parametrize("subset", [(0, 0), (3,), (0, -1)])
     def test_invalid_subset_rejected(self, subset):
